@@ -82,13 +82,15 @@ class Experiment:
         self.dataset = ds
 
         default_classes = 2 if ds["kind"] == "border" else 10
+        if not isinstance(raw.get("pad_channel", False), bool):
+            raise ConfigError("pad_channel must be a JSON boolean")
         try:
             mode = PaddingMode(raw.get("padding_mode", "zero"))
         except ValueError:
             raise ConfigError(f"unknown padding_mode {raw.get('padding_mode')!r}")
         self.spec = ModelSpec(
             family=raw["arch"],
-            pad_channel=bool(raw.get("pad_channel", False)),
+            pad_channel=raw.get("pad_channel", False),
             num_classes=int(raw.get("num_classes", default_classes)),
             input_channels=int(raw.get("input_channels", 3)),
             input_size=int(raw.get("input_size",

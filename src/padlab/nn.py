@@ -63,7 +63,9 @@ class BatchNormSpec:
 
 
 def _out_var(data, inputs):
-    return Variable(Tensor(data), requires_grad=any(v.requires_grad for v in inputs))
+    out = Variable(Tensor(data))  # no .grad buffer: backward() only fills leaves
+    out.requires_grad = any(v.requires_grad for v in inputs)
+    return out
 
 
 def _record(tape, inputs, out, backward_fn):
@@ -157,19 +159,20 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, s: int):
     n, c, h, w = xd.shape
     ho = (h - kh) // s + 1
     wo = (w - kw) // s + 1
+    # channel-major (c*kh*kw, n*ho*wo): each copied row is a run of wo pixels
     win = sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 
 def _col2im(dcols, xshape, kh, kw, s, ho, wo):
     n, c, h, w = xshape
-    dx = np.zeros(xshape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
+    d6 = dcols.reshape(c, kh, kw, n, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i:i + s * ho:s, j:j + s * wo:s] += d6[:, :, i, j]
-    return dx
+            dx[:, :, i:i + s * ho:s, j:j + s * wo:s] += d6[:, i, j]
+    return dx.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Variable, weight: Variable, bias: Variable | None,
@@ -198,20 +201,20 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
 
     cols, ho, wo = _im2col(x.value.data, kh, kw, s)
     wmat = weight.value.data.reshape(spec.out_channels, -1)
-    out_mat = cols @ wmat.T
+    out_mat = wmat @ cols
     if bias is not None:
-        out_mat = out_mat + bias.value.data
-    out_data = out_mat.reshape(n, ho, wo, spec.out_channels).transpose(0, 3, 1, 2)
+        out_mat += bias.value.data[:, None]
+    out_data = out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _out_var(out_data, inputs)
 
     def backward_conv(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, spec.out_channels)
+        gmat = g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
         dx = dw = db = None
         if x.requires_grad:
-            dx = _col2im(gmat @ wmat, (n, c, h, w), kh, kw, s, ho, wo)
+            dx = _col2im(wmat.T @ gmat, (n, c, h, w), kh, kw, s, ho, wo)
         if weight.requires_grad:
-            dw = (gmat.T @ cols).reshape(weight.shape)
+            dw = (gmat @ cols.T).reshape(weight.shape)
         if bias is not None and bias.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return (dx, dw) if bias is None else (dx, dw, db)
@@ -314,9 +317,7 @@ def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> Tensor:
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
     out = _out_var(np.maximum(x.value.data, 0), (x,))
-    if out.requires_grad:
-        mask = x.value.data > 0
-        _record(tape, (x,), out, lambda g: (g * mask,))
+    _record(tape, (x,), out, lambda g: (g * (x.value.data > 0),))
     return out
 
 
@@ -363,7 +364,7 @@ def flatten(x: Variable, tape: Tape | None = None) -> Variable:
 
 def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
               tape: Tape | None = None) -> Variable:
-    """Max over kernel x kernel windows; padded cells (if any) never win."""
+    """Max over kernel x kernel windows; padded cells never win, ties go to the first."""
     if len(x.shape) != 4:
         raise ShapeError(f"maxpool2d expects rank 4, got {x.shape}")
     xd = x.value.data
@@ -375,19 +376,20 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
     wo = (w - kernel) // stride + 1
     if ho < 1 or wo < 1:
         raise GeometryError(f"pool output {ho}x{wo} < 1")
-    win = sliding_window_view(xd, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, ho, wo, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    taps = [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+            for i in range(kernel) for j in range(kernel)]
+    out_data = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out_data, xd[tap], out=out_data)
     out = _out_var(out_data, (x,))
 
     def backward_pool(g):
         dxp = np.zeros((n, c, h, w), dtype=g.dtype)
-        ii = (np.arange(ho) * stride)[None, None, :, None] + arg // kernel
-        jj = (np.arange(wo) * stride)[None, None, None, :] + arg % kernel
-        nn_ = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(dxp, (nn_, cc, ii, jj), g)
+        free = np.ones(out_data.shape, dtype=bool)
+        for tap in taps:
+            hit = (xd[tap] == out_data) & free
+            free ^= hit
+            dxp[tap] += g * hit
         if pad:
             dxp = dxp[:, :, pad:-pad, pad:-pad]
         return (dxp,)

@@ -38,8 +38,8 @@ class TrainConfig:
     early_stop_top1: float | None = None  # None: always run all epochs
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be > 0")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError("base_lr must be finite and > 0")
         if not (0 <= self.momentum < 1):
             raise ConfigError("momentum must be in [0, 1)")
         if self.epochs < 1 or self.lr_step < 1 or self.batch_size < 1:

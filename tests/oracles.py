@@ -1,7 +1,10 @@
 """Independent brute-force oracles used by tests.
 
 Everything here is deliberately written as plain Python loops over indices,
-independent of the im2col / vectorised production paths it is used to check.
+independent of the vectorised production paths it is used to check: conv2d's
+channel-major im2col (a (C*kh*kw, N*Ho*Wo) column matrix times the
+(C_out, C*kh*kw) weight matrix) with its col2im fold, and maxpool2d's chain of
+strided tap views.
 """
 
 import numpy as np
@@ -54,6 +57,31 @@ def naive_conv2d(x, weight, bias=None, stride=1, pad=0, pad_mode="zero"):
     return out
 
 
+def naive_conv2d_backward(x, weight, g, stride=1, pad=0):
+    """(dx, dw, db) of sum(g * conv(x, weight) + bias) with zero padding."""
+    xp = naive_pad2d(x, pad, "zero") if pad else x
+    n, c, h, w = xp.shape
+    cout, _, kh, kw = weight.shape
+    _, _, ho, wo = g.shape
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(weight)
+    db = np.zeros(cout, dtype=g.dtype)
+    for b in range(n):
+        for o in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    gv = g[b, o, i, j]
+                    db[o] += gv
+                    for ci in range(c):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, q = i * stride + u, j * stride + v
+                                dxp[b, ci, r, q] += gv * weight[o, ci, u, v]
+                                dw[o, ci, u, v] += gv * xp[b, ci, r, q]
+    dx = dxp[:, :, pad:h - pad, pad:w - pad] if pad else dxp
+    return dx, dw, db
+
+
 def naive_maxpool2d(x, kernel, stride, pad=0):
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
@@ -70,6 +98,30 @@ def naive_maxpool2d(x, kernel, stride, pad=0):
                                          i * stride:i * stride + kernel,
                                          j * stride:j * stride + kernel].max()
     return out
+
+
+def naive_maxpool2d_backward(x, g, kernel, stride, pad=0):
+    """dx of sum(g * maxpool(x)): each window's g goes to its first maximal
+    cell in row-major window order (argmax's rule), windows visited in
+    (n, c, row, col) order."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   mode="constant", constant_values=-np.inf)
+    n, c, h, w = x.shape
+    _, _, ho, wo = g.shape
+    dx = np.zeros((n, c, h, w), dtype=g.dtype)
+    for b in range(n):
+        for ci in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    best = None
+                    for u in range(kernel):
+                        for v in range(kernel):
+                            cell = (i * stride + u, j * stride + v)
+                            if best is None or x[b, ci][cell] > x[b, ci][best]:
+                                best = cell
+                    dx[b, ci][best] += g[b, ci, i, j]
+    return dx[:, :, pad:h - pad, pad:w - pad] if pad else dx
 
 
 def channel_stats(x):

@@ -177,6 +177,24 @@ def test_train_config_schema_violation_exits_1(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_train_config_non_boolean_pad_channel_exits_1(tmp_path, capsys, value):
+    cfg_path, _ = _config(tmp_path, pad_channel=value)
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert "pad_channel" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_train_config_non_finite_base_lr_exits_1(tmp_path, capsys, lr):
+    cfg_path, _ = _config(tmp_path, train={"base_lr": lr, "epochs": 1, "batch_size": 64})
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert "base_lr" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path, dataset={
         "kind": "cifar-binary",

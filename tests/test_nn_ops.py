@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padlab.autodiff import Tensor, Variable
+from padlab.autodiff import Tape, Tensor, Variable, backward
 from padlab.errors import (DegenerateBatchError, GeometryError,
                            InvalidLabelError, InvalidPadError, ShapeError)
 from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
                        adaptive_avgpool2d, attach_pad_channel, batchnorm2d,
                        conv2d, dropout, global_avgpool, kaiming_init, linear,
-                       maxpool2d, pad2d, relu, softmax, softmax_cross_entropy)
+                       maxpool2d, mul, pad2d, relu, softmax,
+                       softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
-from oracles import naive_conv2d, naive_maxpool2d, naive_pad2d, channel_stats
+from oracles import (channel_stats, naive_conv2d, naive_conv2d_backward,
+                     naive_maxpool2d, naive_maxpool2d_backward, naive_pad2d)
 
 MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
          PaddingMode.REPLICATE: "replicate"}
@@ -20,6 +22,15 @@ MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
 
 def _var(arr, requires_grad=False):
     return Variable(Tensor(arr), requires_grad=requires_grad)
+
+
+def _vjp(op, arrays, g):
+    """Gradients of sum(g * op(*variables, tape)) w.r.t. each array, via the tape."""
+    variables = [_var(a, requires_grad=True) for a in arrays]
+    tape = Tape()
+    out = op(*variables, tape)
+    backward(sum_all(mul(out, _var(g), tape), tape), tape)
+    return [v.grad for v in variables]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +145,22 @@ def test_conv_matches_naive_oracle(cin, cout, k, stride, pad, size, seed, use_bi
     want = naive_conv2d(x, w, b, stride=stride, pad=pad)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_conv_backward_matches_loop_oracle(k, stride):
+    rng = Rng(40 + 2 * k + stride)
+    pad = k // 2
+    x = rng.uniform((2, 3, 7, 7), dtype=np.float64)
+    w = rng.normal((4, 3, k, k), dtype=np.float64)
+    b = rng.normal((4,), dtype=np.float64)
+    ho = (7 + 2 * pad - k) // stride + 1
+    g = rng.normal((2, 4, ho, ho), dtype=np.float64)
+    spec = ConvSpec(3, 4, k, k, stride=stride, pad=pad)
+    got = _vjp(lambda xv, wv, bv, tape: conv2d(xv, wv, bv, spec, tape), [x, w, b], g)
+    for name, a, e in zip(("dx", "dw", "db"), got,
+                          naive_conv2d_backward(x, w, g, stride, pad)):
+        np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_conv_channel_mismatch():
@@ -262,6 +289,32 @@ def test_maxpool_matches_oracle(k, s, pad, size, seed):
     got = maxpool2d(_var(x), k, s, pad).value.data
     want = naive_maxpool2d(x, k, s, pad)
     assert np.array_equal(got, want.astype(got.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_ties_go_to_first_cell_bit_for_bit(dtype):
+    # ReLU'd inputs: about one 2x2 window in 16 is all zeros
+    rng = Rng(17)
+    x = relu(_var(rng.normal((4, 3, 16, 16), dtype=dtype))).value.data
+    g = rng.normal((4, 3, 8, 8), dtype=dtype)
+    (dx,) = _vjp(lambda v, tape: maxpool2d(v, 2, 2, tape=tape), [x], g)
+    assert dx.tobytes() == naive_maxpool2d_backward(x, g, 2, 2).tobytes()
+    windows = dx.reshape(4, 3, 8, 2, 8, 2).transpose(0, 1, 2, 4, 3, 5)
+    tied = np.all(x.reshape(4, 3, 8, 2, 8, 2) == 0, axis=(3, 5))
+    assert tied.sum() > 20
+    assert np.array_equal(windows[tied][:, 0, 0], g[tied])
+    assert not windows[tied].reshape(-1, 4)[:, 1:].any()
+
+
+@pytest.mark.parametrize("k,s,pad", [(3, 2, 1), (3, 1, 1), (2, 1, 0), (3, 2, 0)])
+def test_maxpool_overlapping_backward_matches_oracle(k, s, pad):
+    rng = Rng(23 + k + s + pad)
+    x = relu(_var(rng.normal((2, 3, 9, 9)))).value.data
+    ho = (9 + 2 * pad - k) // s + 1
+    g = rng.normal((2, 3, ho, ho))
+    (dx,) = _vjp(lambda v, tape: maxpool2d(v, k, s, pad, tape=tape), [x], g)
+    np.testing.assert_allclose(dx, naive_maxpool2d_backward(x, g, k, s, pad),
+                               rtol=1e-6, atol=1e-6)
 
 
 def test_global_avgpool():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,6 +214,38 @@ def test_train_run_deterministic(tmp_path):
     # different seed -> different trajectory
     log3, _, _ = train_run(spec, cfg, train, val, seed=2)
     assert strip(log1) != strip(log3)
+
+
+_BLAS_RUN = """
+import hashlib, sys, tempfile
+from padlab.data import gen_border_task
+from padlab.models import ModelSpec
+from padlab.rng import Rng
+from padlab.training import TrainConfig, save_run, split_train_val, train_run
+
+train, val = split_train_val(gen_border_task(640, 32, Rng(3).child("data")), 0.2)
+cfg = TrainConfig(base_lr=0.02, epochs=1, batch_size=64)
+for family in ("tinyvgg", "tinyresnet"):
+    log, best, _ = train_run(ModelSpec(family, pad_channel=True, num_classes=2,
+                                       input_size=32), cfg, train, val, seed=3)
+    with tempfile.TemporaryDirectory() as out:
+        ckpt = (save_run(out, log, best) / "best.ckpt").read_bytes()
+    print(family, hashlib.sha256(ckpt).hexdigest())
+"""
+
+
+def test_checkpoints_identical_across_blas_thread_counts():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].split()[::2] == ["tinyvgg", "tinyresnet"]
+    assert outputs[0] == outputs[1]
 
 
 def test_checkpoint_roundtrip_reproduces_top1(tmp_path):
