@@ -34,7 +34,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         if arr.ndim < 1 or arr.ndim > 4:
             raise ShapeError(f"rank must be between 1 and 4, got {arr.ndim}")
-        if any(d < 1 for d in arr.shape):
+        if 0 in arr.shape:
             raise ShapeError(f"all dims must be >= 1, got {arr.shape}")
         self.data = np.ascontiguousarray(arr)
 

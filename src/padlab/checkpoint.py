@@ -91,19 +91,3 @@ def model_state(model) -> dict[str, np.ndarray]:
     state = {name: var.value.data for name, var in model.named_parameters()}
     state.update({name: buf for name, buf in model.named_buffers()})
     return state
-
-
-def save_model(path, model, epoch: int, val_top1: float):
-    state = dict(model_state(model))
-    state["meta.epoch"] = np.asarray([float(epoch)], dtype=np.float64)
-    state["meta.val_top1"] = np.asarray([float(val_top1)], dtype=np.float64)
-    write_tensors(path, state)
-
-
-def load_model(path, model) -> tuple[int, float]:
-    """Load parameters/buffers into `model`; returns (epoch, val_top1)."""
-    tensors = read_tensors(path)
-    model.load_state(tensors)
-    epoch = int(tensors["meta.epoch"][0])
-    val_top1 = float(tensors["meta.val_top1"][0])
-    return epoch, val_top1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,24 +36,45 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # experiment config
 
+# Each key maps to its JSON type: a type, a tuple of types, or [T] for an
+# array of T. A bool is not a number, and a number must be finite.
+_NUM = (int, float)
 _DATASET_KEYS = {
-    "border": {"kind", "n", "size", "seed", "val_fraction"},
-    "cifar-binary": {"kind", "train_path", "val_path"},
+    "border": {"kind": str, "n": int, "size": int, "seed": int, "val_fraction": _NUM},
+    "cifar-binary": {"kind": str, "train_path": str, "val_path": str},
 }
-_TRAIN_KEYS = {"base_lr", "momentum", "weight_decay", "epochs", "lr_step",
-               "lr_gamma", "batch_size", "seeds", "early_stop_top1"}
-_TOP_KEYS = {"arch", "pad_channel", "num_classes", "input_size",
-             "input_channels", "padding_mode", "dataset", "train", "augment",
-             "out_dir"}
-_AUG_TOP = {"train", "eval", "normalize_mean", "normalize_std"}
-_AUG_TRAIN = {"random_resized_crop_size", "horizontal_flip_prob", "scale", "aspect"}
-_AUG_EVAL = {"resize_size", "center_crop_size"}
+_DATASET_NEEDS = {"border": ("n", "size", "seed"),
+                  "cifar-binary": ("train_path", "val_path")}
+_TRAIN_KEYS = {"base_lr": _NUM, "momentum": _NUM, "weight_decay": _NUM, "epochs": int,
+               "lr_step": int, "lr_gamma": _NUM, "batch_size": int, "seeds": [int],
+               "early_stop_top1": (int, float, type(None))}
+_TOP_KEYS = {"arch": str, "pad_channel": bool, "num_classes": int, "input_size": int,
+             "input_channels": int, "padding_mode": str, "dataset": dict, "train": dict,
+             "augment": (dict, type(None)), "out_dir": str}
+_AUG_TOP = {"train": dict, "eval": dict, "normalize_mean": [_NUM], "normalize_std": [_NUM]}
+_AUG_TRAIN = {"random_resized_crop_size": int, "horizontal_flip_prob": _NUM,
+              "scale": [_NUM], "aspect": [_NUM]}
+_AUG_EVAL = {"resize_size": int, "center_crop_size": int}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _is_json(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
+    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+def _check(d: dict, schema: dict, where: str, required=()):
+    """Reject unknown or missing keys and values of the wrong JSON type."""
+    unknown = set(d) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where} needs {key!r}")
+    for key, value in d.items():
+        if not _is_json(value, schema[key]):
+            raise ConfigError(f"{where}.{key} has the wrong JSON type: {value!r}")
 
 
 class Experiment:
@@ -61,29 +83,15 @@ class Experiment:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        for key in ("arch", "dataset"):
-            if key not in raw:
-                raise ConfigError(f"config needs {key!r}")
+        _check(raw, _TOP_KEYS, "config", ("arch", "dataset"))
         ds = raw["dataset"]
-        if not isinstance(ds, dict) or "kind" not in ds:
-            raise ConfigError("dataset needs a 'kind'")
-        if ds["kind"] not in _DATASET_KEYS:
-            raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-        _reject_unknown(ds, _DATASET_KEYS[ds["kind"]], f"dataset.{ds['kind']}")
-        if ds["kind"] == "border":
-            for key in ("n", "size", "seed"):
-                if key not in ds:
-                    raise ConfigError(f"border dataset needs {key!r}")
-        else:
-            for key in ("train_path", "val_path"):
-                if key not in ds:
-                    raise ConfigError(f"cifar-binary dataset needs {key!r}")
+        kind = ds.get("kind")
+        if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+            raise ConfigError(f"unknown dataset kind {kind!r}")
+        _check(ds, _DATASET_KEYS[kind], f"dataset.{kind}", _DATASET_NEEDS[kind])
         self.dataset = ds
 
-        default_classes = 2 if ds["kind"] == "border" else 10
-        if not isinstance(raw.get("pad_channel", False), bool):
-            raise ConfigError("pad_channel must be a JSON boolean")
+        default_classes = 2 if kind == "border" else 10
         try:
             mode = PaddingMode(raw.get("padding_mode", "zero"))
         except ValueError:
@@ -91,17 +99,16 @@ class Experiment:
         self.spec = ModelSpec(
             family=raw["arch"],
             pad_channel=raw.get("pad_channel", False),
-            num_classes=int(raw.get("num_classes", default_classes)),
-            input_channels=int(raw.get("input_channels", 3)),
-            input_size=int(raw.get("input_size",
-                                   ds.get("size", 32) if ds["kind"] == "border" else 32)),
+            num_classes=raw.get("num_classes", default_classes),
+            input_channels=raw.get("input_channels", 3),
+            input_size=raw.get("input_size", ds["size"] if kind == "border" else 32),
             padding_mode=mode,
         )
 
         tr = raw.get("train", {})
-        _reject_unknown(tr, _TRAIN_KEYS, "train")
+        _check(tr, _TRAIN_KEYS, "train")
         if "seeds" in tr:
-            tr = dict(tr, seeds=tuple(int(s) for s in tr["seeds"]))
+            tr = dict(tr, seeds=tuple(tr["seeds"]))
         self.train_cfg = TrainConfig(**tr)
 
         self.augment = self._parse_augment(raw.get("augment"))
@@ -110,11 +117,9 @@ class Experiment:
     def _parse_augment(self, raw):
         if raw is None:
             return None
-        _reject_unknown(raw, _AUG_TOP, "augment")
-        if "train" not in raw or "eval" not in raw:
-            raise ConfigError("augment needs both 'train' and 'eval'")
-        _reject_unknown(raw["train"], _AUG_TRAIN, "augment.train")
-        _reject_unknown(raw["eval"], _AUG_EVAL, "augment.eval")
+        _check(raw, _AUG_TOP, "augment", ("train", "eval"))
+        _check(raw["train"], _AUG_TRAIN, "augment.train", ("random_resized_crop_size",))
+        _check(raw["eval"], _AUG_EVAL, "augment.eval", ("resize_size", "center_crop_size"))
         ta = dict(raw["train"])
         for key in ("scale", "aspect"):
             if key in ta:
@@ -129,9 +134,8 @@ class Experiment:
     def load_datasets(self):
         ds = self.dataset
         if ds["kind"] == "border":
-            images = gen_border_task(int(ds["n"]), int(ds["size"]),
-                                     Rng(int(ds["seed"])))
-            return split_train_val(images, float(ds.get("val_fraction", 0.2)))
+            images = gen_border_task(ds["n"], ds["size"], Rng(ds["seed"]))
+            return split_train_val(images, ds.get("val_fraction", 0.2))
         train = load_cifar_binary(ds["train_path"])
         val = load_cifar_binary(ds["val_path"])
         return train, val

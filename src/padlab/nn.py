@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Tape, Tensor, Variable
 from .errors import (DegenerateBatchError, GeometryError, InvalidLabelError,
@@ -93,6 +93,14 @@ def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
     return acc
 
 
+def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """Constant-pad the two spatial axes: fill the padded shape, copy x inside."""
+    n, c, h, w = xd.shape
+    out = np.full((n, c, h + 2 * pad, w + 2 * pad), value, dtype=xd.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = xd
+    return out
+
+
 def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
           value: float = 0.0, tape: Tape | None = None) -> Variable:
     """Pad the two spatial axes of an (N, C, H, W) Variable by `pad` on each side."""
@@ -105,9 +113,7 @@ def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
     _, _, h, w = x.shape
     xd = x.value.data
     if mode is PaddingMode.ZERO:
-        out_data = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                          mode="constant", constant_values=value)
-        out = _out_var(out_data, (x,))
+        out = _out_var(_pad_frame(xd, pad, value), (x,))
 
         def backward_zero(g):
             return (g[:, :, pad:-pad, pad:-pad],)
@@ -155,14 +161,13 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, s: int):
-    n, c, h, w = xd.shape
-    ho = (h - kh) // s + 1
-    wo = (w - kw) // s + 1
+def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int):
+    n, c = xd.shape[:2]
+    sn, sc, sh, sw = xd.strides
     # channel-major (c*kh*kw, n*ho*wo): each copied row is a run of wo pixels
-    win = sliding_window_view(xd, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
+    win = as_strided(xd, (c, kh, kw, n, ho, wo), (sc, sh, sw, sn, s * sh, s * sw),
+                     writeable=False)
+    return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
 
 
 def _col2im(dcols, xshape, kh, kw, s, ho, wo):
@@ -199,7 +204,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         raise GeometryError(
             f"conv output {ho}x{wo} < 1 for input {h}x{w}, kernel {kh}x{kw}, stride {s}")
 
-    cols, ho, wo = _im2col(x.value.data, kh, kw, s)
+    cols = _im2col(x.value.data, kh, kw, s, ho, wo)
     wmat = weight.value.data.reshape(spec.out_channels, -1)
     out_mat = wmat @ cols
     if bias is not None:
@@ -256,9 +261,9 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         m = n * h * w
         if m < 2:
             raise DegenerateBatchError("train-mode batchnorm needs N*H*W >= 2")
-        mu = xd.mean(axis=(0, 2, 3))
+        mu = xd.sum(axis=(0, 2, 3)) / m  # a Python-int count keeps f32 in f32
         diff = xd - mu[None, :, None, None]
-        var = np.mean(diff * diff, axis=(0, 2, 3))
+        var = (diff * diff).sum(axis=(0, 2, 3)) / m
         inv = 1.0 / np.sqrt(var + spec.eps)
         xhat = diff * inv[None, :, None, None]
         mom = spec.momentum
@@ -279,8 +284,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
             dxhat = g * gd[None, :, None, None]
             dx = None
             if x.requires_grad:
-                mean_d = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                mean_dx = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+                mean_d = dxhat.sum(axis=(0, 2, 3), keepdims=True) / m
+                mean_dx = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True) / m
                 dx = inv[None, :, None, None] * (dxhat - mean_d - xhat * mean_dx)
             dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
             dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
@@ -369,8 +374,7 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         raise ShapeError(f"maxpool2d expects rank 4, got {x.shape}")
     xd = x.value.data
     if pad:
-        xd = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                    mode="constant", constant_values=-np.inf)
+        xd = _pad_frame(xd, pad, -np.inf)
     n, c, h, w = xd.shape
     ho = (h - kernel) // stride + 1
     wo = (w - kernel) // stride + 1
@@ -403,7 +407,7 @@ def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
     if len(x.shape) != 4:
         raise ShapeError(f"global_avgpool expects rank 4, got {x.shape}")
     n, c, h, w = x.shape
-    out = _out_var(x.value.data.mean(axis=(2, 3)), (x,))
+    out = _out_var(x.value.data.sum(axis=(2, 3)) / (h * w), (x,))
     _record(tape, (x,), out,
             lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w),
                                        (n, c, h, w)).astype(g.dtype, copy=True),))
@@ -424,7 +428,8 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
     out_data = np.empty((n, c, out_h, out_w), dtype=xd.dtype)
     for i, (h0, h1) in enumerate(hb):
         for j, (w0, w1) in enumerate(wb):
-            out_data[:, :, i, j] = xd[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+            out_data[:, :, i, j] = (xd[:, :, h0:h1, w0:w1].sum(axis=(2, 3))
+                                    / ((h1 - h0) * (w1 - w0)))
     out = _out_var(out_data, (x,))
 
     def backward_adaptive(g):

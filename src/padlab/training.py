@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tape, Variable, backward
 from .checkpoint import model_state, read_tensors, write_tensors
 from .data import AugmentConfig, augment_eval, augment_train
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, NumericError, TrainingDivergedError
 from .models import Model, ModelSpec, build_model
 from .nn import softmax_cross_entropy
 from .rng import Rng
@@ -159,7 +159,10 @@ def _eval_batch_array(images, augment: AugmentConfig | None) -> np.ndarray:
 
 def evaluate(model: Model, images, augment: AugmentConfig | None = None,
              batch_size: int = 256, _pre: np.ndarray | None = None) -> float:
-    """Top-1 percentage; argmax ties resolve to the lowest class index."""
+    """Top-1 percentage; argmax ties resolve to the lowest class index.
+
+    Raises NumericError on non-finite logits, which argmax would score as class 0.
+    """
     if len(images) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
     data = _pre if _pre is not None else _eval_batch_array(images, augment)
@@ -168,6 +171,8 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
     for start in range(0, len(images), batch_size):
         batch = data[start:start + batch_size]
         logits = model.forward(Variable(batch), "eval").value.data
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits in batch at {start}")
         correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
     return 100.0 * correct / len(images)
 
@@ -178,7 +183,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
     """One seeded run; returns the log, the best checkpoint and the final model.
 
     Raises TrainingDivergedError (with .runlog holding the partial log) on
-    non-finite loss or gradients.
+    non-finite loss, gradients, validation logits or best-checkpoint tensors.
     """
     if len(train_images) == 0 or len(val_images) == 0:
         raise ConfigError("train and validation sets must be non-empty")
@@ -229,13 +234,17 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
             if progress is not None:
                 progress(record)
             if best is None or val_top1 > best.val_top1:
-                best = Checkpoint(epoch, val_top1,
-                                  {k: v.copy() for k, v in model_state(model).items()})
+                state = {k: v.copy() for k, v in model_state(model).items()}
+                if not all(np.isfinite(v).all() for v in state.values()):
+                    raise TrainingDivergedError(f"non-finite model state at epoch {epoch}")
+                best = Checkpoint(epoch, val_top1, state)
             if cfg.early_stop_top1 is not None and val_top1 >= cfg.early_stop_top1:
                 break
-    except TrainingDivergedError as exc:
+    except NumericError as exc:
+        if not isinstance(exc, TrainingDivergedError):
+            exc = TrainingDivergedError(str(exc))
         exc.runlog = log
-        raise
+        raise exc
     return log, best, model
 
 

@@ -1,13 +1,18 @@
 """Independent brute-force oracles used by tests.
 
-Everything here is deliberately written as plain Python loops over indices,
-independent of the vectorised production paths it is used to check: conv2d's
-channel-major im2col (a (C*kh*kw, N*Ho*Wo) column matrix times the
-(C_out, C*kh*kw) weight matrix) with its col2im fold, and maxpool2d's chain of
-strided tap views.
+The naive_* oracles are deliberately written as plain Python loops over
+indices, independent of the vectorised production paths they are used to
+check: conv2d's channel-major im2col (a (C*kh*kw, N*Ho*Wo) column matrix
+times the (C_out, C*kh*kw) weight matrix) with its col2im fold, and
+maxpool2d's chain of strided tap views.
+
+The references at the end are the numpy library forms (np.pad,
+sliding_window_view, np.mean) that the forward ops replaced with cheaper
+direct forms; those forms must give the same bytes.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_pad2d(x, pad, mode, value=0.0):
@@ -147,3 +152,55 @@ def scalar_sgd_updates(grad, lr, momentum, weight_decay, w0, steps):
         w = w - lr * v
         history.append(w)
     return history
+
+
+# ---------------------------------------------------------------------------
+# numpy library-form references (compared byte for byte)
+
+def np_pad_constant(x, pad, value):
+    """Constant padding of the two spatial axes of an (N, C, H, W) array."""
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                  mode="constant", constant_values=value)
+
+
+def sliding_window_im2col(x, kh, kw, stride):
+    """Channel-major (C*kh*kw, N*Ho*Wo) columns from a sliding-window view."""
+    n, c, h, w = x.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+def mean_batchnorm2d_train(x, gamma, beta, g, eps):
+    """Train-mode batchnorm by np.mean: (out, dx, dgamma, dbeta, mu, var),
+    with `g` the gradient arriving at the output."""
+    axes = (0, 2, 3)
+    mu = x.mean(axis=axes)
+    diff = x - mu[None, :, None, None]
+    var = np.mean(diff * diff, axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = diff * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dxhat = g * gamma[None, :, None, None]
+    mean_d = dxhat.mean(axis=axes, keepdims=True)
+    mean_dx = (dxhat * xhat).mean(axis=axes, keepdims=True)
+    dx = inv[None, :, None, None] * (dxhat - mean_d - xhat * mean_dx)
+    return out, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), mu, var
+
+
+def mean_global_avgpool(x):
+    return x.mean(axis=(2, 3))
+
+
+def mean_adaptive_avgpool2d(x, out_h, out_w):
+    """np.mean over proportional bins [floor(i*H/out), ceil((i+1)*H/out))."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    for i in range(out_h):
+        h0, h1 = i * h // out_h, -(-(i + 1) * h // out_h)
+        for j in range(out_w):
+            w0, w1 = j * w // out_w, -(-(j + 1) * w // out_w)
+            out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+    return out

@@ -179,6 +179,7 @@ def _strip_wall(text):
                      for line in text.strip().splitlines())
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_training_smoke(tmp_path):
     t0 = time.perf_counter()
     runs_root = tmp_path / "runs"

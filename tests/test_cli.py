@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from padlab.cli import main
@@ -193,6 +194,45 @@ def test_train_config_non_finite_base_lr_exits_1(tmp_path, capsys, lr):
     assert code == 1
     assert "base_lr" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("train", "epochs", "1"),
+    ("train", "seeds", "abc"),
+    (None, "arch", 5),
+    (None, "augment", 3),
+    (None, "num_classes", "x"),
+    ("train", "batch_size", 2.5),
+    ("train", "epochs", True),  # a bool is not an int
+    ("train", "seeds", [0, False]),
+])
+def test_train_config_wrong_json_type_exits_1(tmp_path, capsys, where, key, value):
+    cfg_path, cfg = _config(tmp_path)
+    (cfg["train"] if where else cfg)[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert f"{key} has the wrong JSON type" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_train_config_missing_augment_key_exits_1(tmp_path, capsys):
+    cfg_path, _ = _config(tmp_path, augment={"train": {}, "eval": {}})
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert "random_resized_crop_size" in err
+
+
+def test_train_non_finite_state_exits_3_and_keeps_runlog(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("padlab.training.evaluate", lambda *args, **kwargs: 50.0)
+    cfg_path, cfg = _config(tmp_path, train={"base_lr": 3e38, "epochs": 1, "batch_size": 256})
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 3
+    assert "non-finite model state" in err
+    run_path = Path(cfg["out_dir"]) / "tinyvgg" / "0"
+    assert (run_path / "runlog.csv").exists()
+    assert not (run_path / "best.ckpt").exists()
 
 
 def test_train_missing_dataset_exits_2(tmp_path, capsys):

@@ -99,10 +99,11 @@ def test_totals_equal_sum_of_rows():
 
 
 def test_count_params_matches_checkpoint_elements(tmp_path):
-    from padlab.checkpoint import read_tensors, save_model
+    from padlab.checkpoint import model_state, read_tensors
+    from padlab.training import Checkpoint
     model = build_model(ModelSpec("tinyvgg", num_classes=2, input_size=32), Rng(1))
     path = tmp_path / "m.ckpt"
-    save_model(path, model, epoch=0, val_top1=0.0)
+    Checkpoint(0, 0.0, model_state(model)).save(path)
     tensors = read_tensors(path)
     param_names = {name for name, _ in model.named_parameters()}
     byte_level = sum(arr.size for name, arr in tensors.items()

@@ -13,8 +13,12 @@ from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
                        softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
-from oracles import (channel_stats, naive_conv2d, naive_conv2d_backward,
-                     naive_maxpool2d, naive_maxpool2d_backward, naive_pad2d)
+from padlab.nn import _im2col, _pad_frame
+from oracles import (channel_stats, mean_adaptive_avgpool2d,
+                     mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
+                     naive_conv2d_backward, naive_maxpool2d,
+                     naive_maxpool2d_backward, naive_pad2d, np_pad_constant,
+                     sliding_window_im2col)
 
 MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
          PaddingMode.REPLICATE: "replicate"}
@@ -383,3 +387,76 @@ def test_subsumption_zero_weight_bias_one_conv():
     reference = pad2d(attach_pad_channel(next_in), 1,
                       PaddingMode.ZERO).value.data[:, 5]
     assert constructed.tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# direct forms against the numpy library forms they replaced, byte for byte
+
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _random_shapes(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, c = (int(v) for v in rng.integers(1, 6, 2))
+        h, w = (int(v) for v in rng.integers(1, 12, 2))
+        yield rng, (n, c, h, w), 10.0 ** rng.uniform(-3, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [1, 2, 3])
+@pytest.mark.parametrize("value", [0.0, 0.5, -np.inf])
+def test_pad_frame_matches_np_pad(dtype, pad, value):
+    x = np.random.default_rng(pad).standard_normal((2, 3, 5, 4)).astype(dtype)
+    _same_bytes(_pad_frame(x, pad, value), np_pad_constant(x, pad, value))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw", [(1, 1), (2, 3), (3, 3), (7, 7)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_im2col_matches_sliding_window_form(dtype, kh, kw, stride):
+    x = np.random.default_rng(kh * 10 + stride).standard_normal((2, 3, 11, 10)).astype(dtype)
+    ho = (11 - kh) // stride + 1
+    wo = (10 - kw) // stride + 1
+    _same_bytes(_im2col(x, kh, kw, stride, ho, wo), sliding_window_im2col(x, kh, kw, stride))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_train_forward_backward_match_np_mean(dtype):
+    for rng, shape, scale in _random_shapes(1, 60):
+        if shape[0] * shape[2] * shape[3] < 2:
+            continue
+        c = shape[1]
+        spec = BatchNormSpec(c)
+        x = (rng.standard_normal(shape) * scale + rng.standard_normal()).astype(dtype)
+        gamma = rng.standard_normal(c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        state = BatchNormState(c, dtype)
+        vs = [_var(a, requires_grad=True) for a in (x, gamma, beta)]
+        tape = Tape()
+        out = batchnorm2d(*vs, state, spec, "train", tape)
+        backward(sum_all(mul(out, _var(g), tape), tape), tape)
+        ref_out, ref_dx, ref_dgamma, ref_dbeta, mu, var = mean_batchnorm2d_train(
+            x, gamma, beta, g, spec.eps)
+        _same_bytes(out.value.data, ref_out)
+        for v, ref in zip(vs, (ref_dx, ref_dgamma, ref_dbeta)):
+            _same_bytes(v.grad, ref)
+        m = shape[0] * shape[2] * shape[3]
+        mom, fresh = spec.momentum, BatchNormState(c, dtype)
+        _same_bytes(state.running_mean,
+                    ((1 - mom) * fresh.running_mean + mom * mu).astype(dtype))
+        _same_bytes(state.running_var,
+                    ((1 - mom) * fresh.running_var + mom * (var * (m / (m - 1)))).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_avgpools_match_np_mean(dtype):
+    for rng, shape, scale in _random_shapes(2, 60):
+        x = (rng.standard_normal(shape) * scale).astype(dtype)
+        _same_bytes(global_avgpool(_var(x)).value.data, mean_global_avgpool(x))
+        out_h, out_w = (int(v) for v in rng.integers(1, 5, 2))
+        _same_bytes(adaptive_avgpool2d(_var(x), out_h, out_w).value.data,
+                    mean_adaptive_avgpool2d(x, out_h, out_w))

@@ -8,7 +8,7 @@ import pytest
 
 from padlab.autodiff import Tensor, Variable
 from padlab.data import gen_border_task
-from padlab.errors import ConfigError, TrainingDivergedError
+from padlab.errors import ConfigError, NumericError, TrainingDivergedError
 from padlab.models import ModelSpec, build_model
 from padlab.rng import Rng
 from padlab.training import (Checkpoint, EpochRecord, RunLog, TrainConfig,
@@ -151,6 +151,14 @@ def test_evaluate_empty_dataset_rejected():
         evaluate(_FixedModel(np.zeros((1, 2))), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite_logits(bad):
+    ds = _dataset([0, 1])
+    logits = np.array([[1, 0], [0, bad]], np.float32)  # argmax would score 2/2
+    with pytest.raises(NumericError, match="non-finite logits"):
+        evaluate(_FixedModel(logits), ds)
+
+
 def _log_from_curve(curve):
     log = RunLog("fixture", 0)
     for e, v in enumerate(curve):
@@ -234,6 +242,7 @@ for family in ("tinyvgg", "tinyresnet"):
 """
 
 
+@pytest.mark.slow
 def test_checkpoints_identical_across_blas_thread_counts():
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
@@ -288,6 +297,31 @@ def test_divergence_preserves_partial_log():
         with pytest.raises(TrainingDivergedError) as info:
             train_run(spec, cfg, train, val, seed=0)
     assert hasattr(info.value, "runlog")
+
+
+def _overflow_run(train_images, val_images):
+    """One step at base_lr 3e38: the update overflows the f32 weights."""
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    cfg = TrainConfig(base_lr=3e38, epochs=1, batch_size=64)
+    with np.errstate(all="ignore"):
+        return train_run(spec, cfg, train_images, val_images, seed=0)
+
+
+def test_non_finite_validation_logits_diverge():
+    images = gen_border_task(80, 32, Rng(0).child("data"))
+    with pytest.raises(TrainingDivergedError, match="non-finite logits") as info:
+        _overflow_run(images[:64], images[64:])
+    assert info.value.runlog.records == []
+
+
+def test_non_finite_state_never_becomes_best(monkeypatch):
+    # with evaluate scoring blind, only the state check stands between the
+    # overflowed weights and the best checkpoint
+    monkeypatch.setattr("padlab.training.evaluate", lambda *args, **kwargs: 50.0)
+    images = gen_border_task(80, 32, Rng(0).child("data"))
+    with pytest.raises(TrainingDivergedError, match="non-finite model state") as info:
+        _overflow_run(images[:64], images[64:])
+    assert [r.val_top1 for r in info.value.runlog.records] == [50.0]
 
 
 def test_early_stop_caps_epochs():
