@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage/config errors, 2 data errors, 3 numeric or
-divergence errors. Every command writes identical bytes when re-run with
+Exit codes: 0 success, 1 usage/config errors, 2 data or file errors, 3 numeric
+or divergence errors. Every command writes identical bytes when re-run with
 identical inputs (the wall_seconds run-log column is the one documented
 exception and is excluded from determinism checks).
 """
@@ -91,6 +91,16 @@ class Experiment:
         _check(ds, _DATASET_KEYS[kind], f"dataset.{kind}", _DATASET_NEEDS[kind])
         self.dataset = ds
 
+        self.augment = self._parse_augment(raw.get("augment"))
+        # The network sees the dataset's images, or the crops when augmenting.
+        sizes = {ds["size"] if kind == "border" else 32}
+        if self.augment is not None:
+            sizes = {self.augment.train.random_resized_crop_size,
+                     self.augment.eval.center_crop_size}
+        size = raw.get("input_size", min(sizes))
+        if sizes != {size}:
+            raise ConfigError(f"input_size {size} differs from the image size "
+                              f"{'/'.join(map(str, sorted(sizes)))} the network sees")
         default_classes = 2 if kind == "border" else 10
         try:
             mode = PaddingMode(raw.get("padding_mode", "zero"))
@@ -101,7 +111,7 @@ class Experiment:
             pad_channel=raw.get("pad_channel", False),
             num_classes=raw.get("num_classes", default_classes),
             input_channels=raw.get("input_channels", 3),
-            input_size=raw.get("input_size", ds["size"] if kind == "border" else 32),
+            input_size=size,
             padding_mode=mode,
         )
 
@@ -110,8 +120,6 @@ class Experiment:
         if "seeds" in tr:
             tr = dict(tr, seeds=tuple(tr["seeds"]))
         self.train_cfg = TrainConfig(**tr)
-
-        self.augment = self._parse_augment(raw.get("augment"))
         self.out_dir = raw.get("out_dir", "runs")
 
     def _parse_augment(self, raw):
@@ -377,7 +385,7 @@ def main(argv=None) -> int:
     except (ConfigError, PadlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     return code

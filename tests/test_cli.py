@@ -196,6 +196,69 @@ def test_train_config_non_finite_base_lr_exits_1(tmp_path, capsys, lr):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr_gamma", -1.0),  # used to train with lr -0.02 from epoch lr_step on
+    ("lr_gamma", 0.0),
+    ("lr_gamma", 1.5),
+    ("lr_gamma", float("inf")),
+    ("weight_decay", -5.0),
+    ("weight_decay", float("nan")),
+    ("early_stop_top1", -0.5),
+    ("early_stop_top1", 100.5),
+])
+def test_train_config_out_of_range_training_value_exits_1(tmp_path, capsys, key, value):
+    cfg_path, cfg = _config(tmp_path)
+    cfg["train"][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("arch", ["tinyvgg", "tinyresnet"])
+def test_train_input_size_unlike_border_size_exits_1(tmp_path, capsys, arch):
+    # tinyvgg used to stop in its linear layer, tinyresnet to train and exit 0
+    cfg_path, _ = _config(tmp_path, arch=arch, input_size=16)
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert "input_size 16" in err and "image size 32" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_input_size_unlike_cifar_binary_size_exits_1(tmp_path, capsys):
+    cfg_path, _ = _config(tmp_path, input_size=16, dataset={
+        "kind": "cifar-binary", "train_path": "unused.bin", "val_path": "unused.bin"})
+    code, _, err = run(capsys, "eval", "--config", str(cfg_path),
+                       "--checkpoint", "unused.ckpt")
+    assert code == 1
+    assert "input_size 16" in err and "image size 32" in err
+
+
+def test_train_input_size_follows_augment_crops(tmp_path, capsys):
+    augment = {"train": {"random_resized_crop_size": 24},
+               "eval": {"resize_size": 32, "center_crop_size": 24}}
+    cfg_path, cfg = _config(tmp_path, augment=augment, input_size=32)
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert "input_size 32" in err and "image size 24" in err
+    cfg_path, cfg = _config(tmp_path, augment=augment, input_size=24,
+                            train={"base_lr": 0.02, "epochs": 1, "batch_size": 64})
+    code, _, _ = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 0
+    assert (Path(cfg["out_dir"]) / "tinyvgg" / "0" / "best.ckpt").exists()
+
+
+def test_train_out_dir_on_a_file_exits_2(tmp_path, capsys):
+    cfg_path, _ = _config(tmp_path, train={"base_lr": 0.02, "epochs": 1, "batch_size": 64})
+    raw = json.loads(cfg_path.read_text())
+    raw["out_dir"] = str(cfg_path)  # a file where a directory is needed
+    cfg_path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 2
+    assert "Not a directory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where, key, value", [
     ("train", "epochs", "1"),
     ("train", "seeds", "abc"),

@@ -46,6 +46,16 @@ def test_lr_at_rejects_out_of_range():
         lr_at(100, TrainConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr_gamma", np.nan), ("lr_gamma", np.inf), ("weight_decay", np.nan),
+    ("weight_decay", np.inf), ("early_stop_top1", np.nan), ("early_stop_top1", -np.inf),
+])
+def test_train_config_rejects_non_finite_values(field, value):
+    # the CLI schema stops these earlier; the API must stop them too
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # sgd
 
@@ -255,6 +265,20 @@ def test_checkpoints_identical_across_blas_thread_counts():
         outputs.append(proc.stdout)
     assert outputs[0].split()[::2] == ["tinyvgg", "tinyresnet"]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_evaluate_top1_independent_of_batch_size(family):
+    # Logits may differ in the last bit between partitions, because OpenBLAS
+    # picks kernels by row count; the top-1 is the contract.
+    images = gen_border_task(1024, 32, Rng(2).child("data"))
+    train, val = images[:512], images[512:]
+    spec = ModelSpec(family, pad_channel=True, num_classes=2, input_size=32)
+    cfg = TrainConfig(base_lr=0.02, epochs=1, batch_size=16)
+    log, _, model = train_run(spec, cfg, train, val, seed=2)
+    top1 = {bs: evaluate(model, val, batch_size=bs) for bs in (64, 100, 128, 256)}
+    assert set(top1.values()) == {evaluate(model, val)} == {log.records[-1].val_top1}
+    assert 80 < top1[128] < 100  # neither the majority class alone nor solved
 
 
 def test_checkpoint_roundtrip_reproduces_top1(tmp_path):
