@@ -84,6 +84,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             raise CorruptFileError(f"{len(blob) - off} trailing bytes")
     except struct.error as exc:
         raise CorruptFileError(f"truncated checkpoint: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"tensor name is not UTF-8: {exc}") from exc
     return tensors
 
 

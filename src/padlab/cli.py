@@ -180,18 +180,26 @@ def cmd_cost(args) -> int:
 
 
 def _parse_seeds(expr: str):
-    if ".." in expr:
-        lo, hi = expr.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in expr.split(",") if s != ""]
+    try:
+        if ".." in expr:
+            lo, hi = expr.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in expr.split(",") if s != ""]
+    except ValueError:
+        raise ConfigError(f"--seeds {expr!r} is not a comma list or lo..hi range of ints")
+
+
+def _print_epoch(seed: int, r) -> None:
+    print(f"seed {seed} epoch {r.epoch}: loss {r.train_loss:.4f} top-1 {r.val_top1:.2f} "
+          f"lr {r.lr:g} {r.wall_seconds:.1f} s", file=sys.stderr, flush=True)
 
 
 def _run_one_seed(config_path: str, seed: int) -> dict:
     exp = load_experiment(config_path)
     train_images, val_images = exp.load_datasets()
     try:
-        log, best, _ = train_run(exp.spec, exp.train_cfg, train_images,
-                                 val_images, seed, exp.augment)
+        log, best, _ = train_run(exp.spec, exp.train_cfg, train_images, val_images,
+                                 seed, exp.augment, lambda r: _print_epoch(seed, r))
     except TrainingDivergedError as exc:
         partial = getattr(exc, "runlog", None)
         if partial is not None and partial.records:
@@ -212,6 +220,10 @@ def cmd_train(args) -> int:
         seeds = _parse_seeds(args.seeds)
     else:
         seeds = list(exp.train_cfg.seeds)
+    if not seeds:
+        raise ConfigError("no seeds to train")
+    if args.parallel < 0:
+        raise ConfigError("--parallel must be >= 0")
     results = []
     if args.parallel and len(seeds) > 1:
         import concurrent.futures as cf

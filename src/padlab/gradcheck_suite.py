@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, Variable, grad_check
+from .errors import ConfigError
 from .models import ModelSpec, build_model
 from .nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
                  adaptive_avgpool2d, batchnorm2d, conv2d, dropout, flatten,
@@ -127,6 +128,8 @@ _NO_PROJECTION = {"softmax_cross_entropy", "tinyresnet[composite, wrt input]"}
 
 def run_suite(trials: int = 3):
     """[(layer name, worst relative error)] over `trials` random f64 inputs."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     results = []
     for name, make, shape in suite_cases():
         worst = 0.0

@@ -219,7 +219,9 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         if x.requires_grad:
             dx = _col2im(wmat.T @ gmat, (n, c, h, w), kh, kw, s, ho, wo)
         if weight.requires_grad:
-            dw = (gmat @ cols.T).reshape(weight.shape)
+            # the same product as gmat @ cols.T, but this operand order runs
+            # about twice as fast in OpenBLAS and gives the same bytes
+            dw = (cols @ gmat.T).T.reshape(weight.shape)
         if bias is not None and bias.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return (dx, dw) if bias is None else (dx, dw, db)
@@ -246,6 +248,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
 
     Train mode uses batch statistics (biased variance) and updates the running
     statistics in `state` with `momentum`; eval mode uses the running ones.
+    Steps write into arrays this op owns, in the order of the plain
+    expressions, so the bytes are theirs with fewer full-size temporaries.
     """
     if len(x.shape) != 4:
         raise ShapeError(f"batchnorm2d expects rank 4, got {x.shape}")
@@ -262,10 +266,10 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         if m < 2:
             raise DegenerateBatchError("train-mode batchnorm needs N*H*W >= 2")
         mu = xd.sum(axis=(0, 2, 3)) / m  # a Python-int count keeps f32 in f32
-        diff = xd - mu[None, :, None, None]
-        var = (diff * diff).sum(axis=(0, 2, 3)) / m
+        xhat = xd - mu[None, :, None, None]
+        out = np.multiply(xhat, xhat)  # the squared deviations, then the output
+        var = out.sum(axis=(0, 2, 3)) / m
         inv = 1.0 / np.sqrt(var + spec.eps)
-        xhat = diff * inv[None, :, None, None]
         mom = spec.momentum
         state.running_mean = ((1 - mom) * state.running_mean + mom * mu).astype(
             state.running_mean.dtype)
@@ -274,28 +278,31 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
             state.running_var.dtype)
     else:
         inv = 1.0 / np.sqrt(state.running_var + spec.eps)
-        xhat = (xd - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
+        xhat = xd - state.running_mean[None, :, None, None]
+        out = np.empty_like(xhat)
+    inv4, gd4 = inv[None, :, None, None], gd[None, :, None, None]
+    xhat *= inv4
+    np.multiply(xhat, gd4, out=out)
+    out += beta.value.data[None, :, None, None]
+    out = _out_var(out, inputs)
 
-    out = _out_var(gd[None, :, None, None] * xhat + beta.value.data[None, :, None, None],
-                   inputs)
-
-    if mode == "train":
-        def backward_bn(g):
-            dxhat = g * gd[None, :, None, None]
-            dx = None
-            if x.requires_grad:
-                mean_d = dxhat.sum(axis=(0, 2, 3), keepdims=True) / m
-                mean_dx = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True) / m
-                dx = inv[None, :, None, None] * (dxhat - mean_d - xhat * mean_dx)
-            dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            return dx, dgamma, dbeta
-    else:
-        def backward_bn(g):
-            dx = g * (gd * inv)[None, :, None, None] if x.requires_grad else None
-            dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            return dx, dgamma, dbeta
+    def backward_bn(g):
+        tmp = g * xhat  # scratch for every product with xhat
+        dgamma = tmp.sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        dx = None
+        if x.requires_grad and mode == "train":
+            dx = g * gd4  # dxhat, turned into dx in place
+            mean_d = dx.sum(axis=(0, 2, 3), keepdims=True) / m
+            np.multiply(dx, xhat, out=tmp)
+            mean_dx = tmp.sum(axis=(0, 2, 3), keepdims=True) / m
+            np.multiply(xhat, mean_dx, out=tmp)
+            dx -= mean_d
+            dx -= tmp
+            dx *= inv4
+        elif x.requires_grad:
+            dx = g * (gd * inv)[None, :, None, None]
+        return dx, dgamma, dbeta
 
     _record(tape, inputs, out, backward_bn)
     return out
@@ -387,13 +394,23 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         np.maximum(out_data, xd[tap], out=out_data)
     out = _out_var(out_data, (x,))
 
+    # windows that tile the map exactly write each cell once
+    tiled = stride == kernel and h == stride * ho and w == stride * wo
+
     def backward_pool(g):
-        dxp = np.zeros((n, c, h, w), dtype=g.dtype)
+        dxp = (np.empty if tiled else np.zeros)((n, c, h, w), dtype=g.dtype)
         free = np.ones(out_data.shape, dtype=bool)
+        hit = np.empty_like(free)
         for tap in taps:
-            hit = (xd[tap] == out_data) & free
+            np.equal(xd[tap], out_data, out=hit)
+            hit &= free
             free ^= hit
-            dxp[tap] += g * hit
+            if tiled:
+                np.multiply(g, hit, out=dxp[tap])
+            else:
+                dxp[tap] += g * hit
+        if tiled:
+            dxp += 0.0  # as 0 + g*hit did: -0.0 becomes +0.0
         if pad:
             dxp = dxp[:, :, pad:-pad, pad:-pad]
         return (dxp,)

@@ -19,7 +19,8 @@ import numpy as np
 from .autodiff import Tape, Variable, backward
 from .checkpoint import model_state, read_tensors, write_tensors
 from .data import AugmentConfig, augment_eval, augment_train
-from .errors import ConfigError, NumericError, TrainingDivergedError
+from .errors import (ConfigError, CorruptFileError, NumericError,
+                     TrainingDivergedError)
 from .models import Model, ModelSpec, build_model
 from .nn import softmax_cross_entropy
 from .rng import Rng
@@ -105,13 +106,16 @@ class RunLog:
     def from_csv(cls, text: str) -> "RunLog":
         rows = list(csv.DictReader(io.StringIO(text)))
         if not rows:
-            raise ConfigError("empty run log")
-        log = cls(rows[0]["spec_id"], int(rows[0]["seed"]))
-        for row in rows:
-            log.records.append(EpochRecord(
-                int(row["epoch"]), float(row["train_loss"]),
-                float(row["val_top1"]), float(row["lr"]),
-                float(row["wall_seconds"])))
+            raise CorruptFileError("empty run log")
+        try:
+            log = cls(rows[0]["spec_id"], int(rows[0]["seed"]))
+            for row in rows:
+                log.records.append(EpochRecord(
+                    int(row["epoch"]), float(row["train_loss"]),
+                    float(row["val_top1"]), float(row["lr"]),
+                    float(row["wall_seconds"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFileError(f"run log is not {cls.CSV_HEADER}: {exc!r}") from exc
         return log
 
     def best_epoch(self) -> int:

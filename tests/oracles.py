@@ -6,9 +6,10 @@ check: conv2d's channel-major im2col (a (C*kh*kw, N*Ho*Wo) column matrix
 times the (C_out, C*kh*kw) weight matrix) with its col2im fold, and
 maxpool2d's chain of strided tap views.
 
-The references at the end are the numpy library forms (np.pad,
-sliding_window_view, np.mean) that the forward ops replaced with cheaper
-direct forms; those forms must give the same bytes.
+The references at the end are the forms the ops replaced with cheaper ones:
+numpy library forms (np.pad, sliding_window_view, np.mean), conv2d's
+`gmat @ cols.T` weight gradient, batchnorm2d with fresh temporaries, and the
+accumulate-only maxpool2d backward. The replacements must give the same bytes.
 """
 
 import numpy as np
@@ -204,3 +205,40 @@ def mean_adaptive_avgpool2d(x, out_h, out_w):
             w0, w1 = j * w // out_w, -(-(j + 1) * w // out_w)
             out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
     return out
+
+
+def gemm_conv2d_dw(cols, g):
+    """conv2d's flat (C_out, C*kh*kw) weight gradient as gmat @ cols.T, with
+    gmat the (C_out, N*Ho*Wo) view of the output gradient."""
+    gmat = g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
+    return gmat @ cols.T
+
+
+def batchnorm2d_eval(x, gamma, beta, running_mean, running_var, g, eps):
+    """Eval-mode batchnorm with a fresh array per step: (out, dx, dgamma, dbeta)."""
+    inv = 1.0 / np.sqrt(running_var + eps)
+    xhat = (x - running_mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dx = g * (gamma * inv)[None, :, None, None]
+    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def accumulate_maxpool2d_backward(x, g, kernel, stride, pad=0):
+    """maxpool2d's dx with every tap added into a zeroed buffer (0 + g*hit):
+    each window's g goes to its first maximal cell in window order."""
+    if pad:
+        x = np_pad_constant(x, pad, -np.inf)
+    n, c, h, w = x.shape
+    _, _, ho, wo = g.shape
+    taps = [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+            for i in range(kernel) for j in range(kernel)]
+    out = x[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, x[tap], out=out)
+    dxp = np.zeros(x.shape, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for tap in taps:
+        hit = (x[tap] == out) & free
+        free ^= hit
+        dxp[tap] += g * hit
+    return dxp[:, :, pad:h - pad, pad:w - pad] if pad else dxp

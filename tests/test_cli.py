@@ -298,6 +298,38 @@ def test_train_non_finite_state_exits_3_and_keeps_runlog(tmp_path, capsys, monke
     assert not (run_path / "best.ckpt").exists()
 
 
+@pytest.mark.parametrize("seeds, argv", [
+    ([], ()),
+    (None, ("--seeds", ",")),
+    (None, ("--seeds", "5..3")),
+    (None, ("--seeds", "abc")),
+    (None, ("--seeds", "0,1", "--parallel", "-1")),
+])
+def test_train_without_usable_seeds_exits_1(tmp_path, capsys, seeds, argv):
+    cfg_path, cfg = _config(tmp_path)
+    if seeds is not None:
+        cfg["train"]["seeds"] = seeds
+        cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_train_prints_one_progress_line_per_epoch(tmp_path, capsys):
+    cfg_path, _ = _config(tmp_path)
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seeds", "0,1")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["seed 0", "seed 1"]
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "seed 0 epoch 0", "seed 0 epoch 1", "seed 1 epoch 0", "seed 1 epoch 1"]
+    for line in lines:
+        for word in ("loss ", "top-1 ", "lr 0.02 "):
+            assert word in line
+        assert line.endswith(" s")
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path, dataset={
         "kind": "cifar-binary",
@@ -326,6 +358,17 @@ def test_eval_matches_checkpoint_value(tmp_path, capsys):
     assert code == 0
     shown, recorded = out.split("val top-1 ")[1].split(" (checkpoint recorded ")
     assert float(shown) == float(recorded.split(" ")[0])
+
+
+def test_eval_checkpoint_with_non_utf8_name_exits_2(tmp_path, capsys):
+    from padlab.training import Checkpoint
+    cfg_path, _ = _config(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    Checkpoint(0, 50.0, {"zz": np.zeros(2, np.float32)}).save(ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"zz", b"\xff\xfe"))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--config", str(cfg_path))
+    assert code == 2
+    assert "not UTF-8" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +404,22 @@ def test_compare_identical_groups_null_case(tmp_path, capsys):
     assert " 0.5000" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name,score\nx,1.0\n", "run log is not"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\n", "empty run log"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,x,1,1,1\n",
+     "run log is not"),
+])
+def test_compare_malformed_runlogs_exit_2(tmp_path, capsys, text, message):
+    for side in ("a", "b"):
+        for i in range(2):
+            (tmp_path / f"{side}{i}.csv").write_text(text)
+    code, _, err = run(capsys, "compare", "--runs-a", str(tmp_path / "a*.csv"),
+                       "--runs-b", str(tmp_path / "b*.csv"))
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -378,3 +437,9 @@ def test_gradcheck_cli_reports_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "gradcheck")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_gradcheck_cli_rejects_zero_trials(capsys):
+    code, out, err = run(capsys, "gradcheck", "--trials", "0")
+    assert code == 1
+    assert "trials must be >= 1" in err and "all layers pass" not in out

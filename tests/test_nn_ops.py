@@ -14,7 +14,8 @@ from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
 from padlab.rng import Rng
 
 from padlab.nn import _im2col, _pad_frame
-from oracles import (channel_stats, mean_adaptive_avgpool2d,
+from oracles import (accumulate_maxpool2d_backward, batchnorm2d_eval,
+                     channel_stats, gemm_conv2d_dw, mean_adaptive_avgpool2d,
                      mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
                      naive_conv2d_backward, naive_maxpool2d,
                      naive_maxpool2d_backward, naive_pad2d, np_pad_constant,
@@ -450,6 +451,73 @@ def test_bn_train_forward_backward_match_np_mean(dtype):
                     ((1 - mom) * fresh.running_mean + mom * mu).astype(dtype))
         _same_bytes(state.running_var,
                     ((1 - mom) * fresh.running_var + mom * (var * (m / (m - 1)))).astype(dtype))
+
+
+def _signed_zero_grad(rng, shape, dtype):
+    """A standard-normal output gradient with every fifth entry -0.0."""
+    g = rng.standard_normal(shape).astype(dtype)
+    g.flat[::5] = -0.0
+    return g
+
+
+def _op_backward(op, arrays, g):
+    """op's output and its backward closure applied to g directly, so no sum
+    into a zeroed .grad can turn a -0.0 into +0.0."""
+    tape = Tape()
+    out = op(*[_var(a, requires_grad=True) for a in arrays], tape)
+    return out.value.data, tape.entries[-1].backward_fn(g)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_dw_matches_gmat_cols_t_form(dtype, k, stride):
+    rng = np.random.default_rng(10 * k + stride)
+    for n, c, size, cout in ((2, 3, 7, 4), (16, 8, 16, 16), (8, 16, 8, 32)):
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        w = rng.standard_normal((cout, c, k, k)).astype(dtype)
+        spec = ConvSpec(c, cout, k, k, stride, bias=False)
+        ho = (size - k) // stride + 1
+        g = _signed_zero_grad(rng, (n, cout, ho, ho), dtype)
+        _, (_, dw) = _op_backward(lambda xv, wv, tape: conv2d(xv, wv, None, spec, tape),
+                                  [x, w], g)
+        cols = sliding_window_im2col(x, k, k, stride)
+        _same_bytes(dw, gemm_conv2d_dw(cols, g).reshape(w.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bn_eval_forward_backward_match_fresh_temporaries(dtype):
+    for rng, shape, scale in _random_shapes(3, 60):
+        c = shape[1]
+        spec = BatchNormSpec(c)
+        state = BatchNormState(c, dtype)
+        state.running_mean = (rng.standard_normal(c) * scale).astype(dtype)
+        state.running_var = (rng.uniform(0.01, 4.0, c) * scale * scale).astype(dtype)
+        x = (rng.standard_normal(shape) * scale + rng.standard_normal()).astype(dtype)
+        gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+        g = _signed_zero_grad(rng, shape, dtype)
+        out, grads = _op_backward(
+            lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, spec, "eval", tape),
+            [x, gamma, beta], g)
+        ref = batchnorm2d_eval(x, gamma, beta, state.running_mean, state.running_var,
+                               g, spec.eps)
+        for got, want in zip((out, *grads), ref):
+            _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, s, pad, size", [
+    (2, 2, 0, 8), (3, 3, 0, 9), (1, 1, 0, 5), (2, 2, 1, 6),  # tiling
+    (3, 2, 1, 9), (2, 1, 0, 8), (3, 1, 1, 7),  # overlapping
+    (2, 2, 0, 9), (3, 3, 1, 8), (2, 3, 0, 8),  # odd-sized or gapped
+])
+def test_maxpool_backward_matches_accumulate_form(dtype, k, s, pad, size):
+    rng = np.random.default_rng(100 * k + 10 * s + size)
+    x = np.maximum(rng.standard_normal((3, 4, size, size)), 0).astype(dtype)  # ties
+    ho = (size + 2 * pad - k) // s + 1
+    g = _signed_zero_grad(rng, (3, 4, ho, ho), dtype)
+    _, (dx,) = _op_backward(lambda v, tape: maxpool2d(v, k, s, pad, tape=tape), [x], g)
+    _same_bytes(dx, accumulate_maxpool2d_backward(x, g, k, s, pad))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
