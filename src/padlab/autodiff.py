@@ -1,10 +1,10 @@
 """Dense tensors and tape-based reverse-mode differentiation.
 
-A `Tensor` is an immutable-by-convention dense array of rank 1..4 in row-major
-order; activations use the (N, C, H, W) layout. A `Variable` wraps a Tensor
-together with an accumulated gradient. Differentiable operations append
-`TapeEntry` records to a `Tape` in execution order, which is automatically a
-topological order, so `backward` is a single reverse sweep.
+A `Tensor` is an immutable-by-convention dense array of rank 1..4; activations
+have the logical (N, C, H, W) shape in the producing op's memory order. A
+`Variable` wraps a Tensor with an accumulated gradient. Differentiable
+operations append `TapeEntry` records to a `Tape` in execution order, which is
+automatically a topological order, so `backward` is a single reverse sweep.
 
 Gradient accumulation over fan-out is plain summation in recording order.
 """
@@ -20,7 +20,8 @@ _NP_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 class Tensor:
-    """Dense numeric array, rank 1..4, all dims >= 1, dtype f32 or f64."""
+    """Dense numeric array, rank 1..4, all dims >= 1, dtype f32 or f64.
+    Shapes are logical; `data` keeps the given array's memory order, uncopied."""
 
     __slots__ = ("data",)
 
@@ -32,11 +33,9 @@ class Tensor:
             arr = arr.astype(DTYPES[dtype], copy=False)
         elif arr.dtype not in _NP_TO_TAG:
             arr = arr.astype(np.float64)
-        if arr.ndim < 1 or arr.ndim > 4:
-            raise ShapeError(f"rank must be between 1 and 4, got {arr.ndim}")
-        if 0 in arr.shape:
-            raise ShapeError(f"all dims must be >= 1, got {arr.shape}")
-        self.data = np.ascontiguousarray(arr)
+        if not 1 <= arr.ndim <= 4 or 0 in arr.shape:
+            raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {arr.shape}")
+        self.data = arr
 
     @property
     def shape(self) -> tuple:

@@ -119,6 +119,8 @@ def gen_border_task(n: int, size: int, rng: Rng) -> list[LabeledImage]:
     Per image the draw order is fixed: noise block first, then the patch
     anchor, so generation is reproducible from the seed alone.
     """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     if size < 8:
         raise ConfigError(f"size must be >= 8, got {size}")
     images = []

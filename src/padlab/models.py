@@ -81,7 +81,6 @@ class Module:
 
     def __init__(self):
         self._params: dict[str, Variable] = {}
-        self._buffers: dict[str, object] = {}
         self._children: dict[str, Module] = {}
 
     def add_param(self, name: str, tensor: Tensor) -> Variable:

@@ -63,7 +63,11 @@ class BatchNormSpec:
 
 
 def _out_var(data, inputs):
-    out = Variable(Tensor(data))  # no .grad buffer: backward() only fills leaves
+    if not 1 <= data.ndim <= 4 or 0 in data.shape:
+        raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {data.shape}")
+    value = Tensor.__new__(Tensor)  # op outputs are f32/f64 already; keep their order
+    value.data = data
+    out = Variable(value)  # no .grad buffer: backward() only fills leaves
     out.requires_grad = any(v.requires_grad for v in inputs)
     return out
 
@@ -94,9 +98,9 @@ def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
 
 
 def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
-    """Constant-pad the two spatial axes: fill the padded shape, copy x inside."""
+    """Constant-pad the two spatial axes in x's memory order: fill, copy x inside."""
     n, c, h, w = xd.shape
-    out = np.full((n, c, h + 2 * pad, w + 2 * pad), value, dtype=xd.dtype)
+    out = np.full_like(xd, value, shape=(n, c, h + 2 * pad, w + 2 * pad))
     out[:, :, pad:pad + h, pad:pad + w] = xd
     return out
 
@@ -223,7 +227,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
             # about twice as fast in OpenBLAS and gives the same bytes
             dw = (cols @ gmat.T).T.reshape(weight.shape)
         if bias is not None and bias.requires_grad:
-            db = g.sum(axis=(0, 2, 3))
+            db = gmat.sum(axis=1)  # contiguous rows: the same bytes in any layout of g
         return (dx, dw) if bias is None else (dx, dw, db)
 
     _record(tape, inputs, out, backward_conv)
@@ -367,10 +371,15 @@ def mean_all(x: Variable, tape: Tape | None = None) -> Variable:
 
 
 def flatten(x: Variable, tape: Tape | None = None) -> Variable:
-    n = x.shape[0]
-    shape = x.value.data.shape
-    out = _out_var(x.value.data.reshape(n, -1), (x,))
-    _record(tape, (x,), out, lambda g: (g.reshape(shape),))
+    xd = x.value.data
+    out = _out_var(xd.reshape(xd.shape[0], -1), (x,))
+
+    def backward_flatten(g):
+        dx = np.empty_like(xd, dtype=g.dtype)  # the gradient in x's memory order
+        dx[...] = g.reshape(xd.shape)
+        return (dx,)
+
+    _record(tape, (x,), out, backward_flatten)
     return out
 
 
@@ -382,14 +391,14 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
     xd = x.value.data
     if pad:
         xd = _pad_frame(xd, pad, -np.inf)
-    n, c, h, w = xd.shape
+    _, _, h, w = xd.shape
     ho = (h - kernel) // stride + 1
     wo = (w - kernel) // stride + 1
     if ho < 1 or wo < 1:
         raise GeometryError(f"pool output {ho}x{wo} < 1")
     taps = [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
             for i in range(kernel) for j in range(kernel)]
-    out_data = xd[taps[0]].copy()
+    out_data = xd[taps[0]].copy(order="K")
     for tap in taps[1:]:
         np.maximum(out_data, xd[tap], out=out_data)
     out = _out_var(out_data, (x,))
@@ -398,8 +407,8 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
     tiled = stride == kernel and h == stride * ho and w == stride * wo
 
     def backward_pool(g):
-        dxp = (np.empty if tiled else np.zeros)((n, c, h, w), dtype=g.dtype)
-        free = np.ones(out_data.shape, dtype=bool)
+        dxp = (np.empty_like if tiled else np.zeros_like)(xd, dtype=g.dtype)
+        free = np.ones_like(out_data, dtype=bool)
         hit = np.empty_like(free)
         for tap in taps:
             np.equal(xd[tap], out_data, out=hit)
@@ -423,11 +432,11 @@ def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
     """Mean over the spatial axes: (N, C, H, W) -> (N, C)."""
     if len(x.shape) != 4:
         raise ShapeError(f"global_avgpool expects rank 4, got {x.shape}")
-    n, c, h, w = x.shape
-    out = _out_var(x.value.data.sum(axis=(2, 3)) / (h * w), (x,))
-    _record(tape, (x,), out,
-            lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w),
-                                       (n, c, h, w)).astype(g.dtype, copy=True),))
+    _, _, h, w = x.shape
+    xd = x.value.data
+    out = _out_var(xd.sum(axis=(2, 3)) / (h * w), (x,))
+    _record(tape, (x,), out, lambda g: (np.divide(  # dx in x's memory order
+        g[:, :, None, None], h * w, out=np.empty_like(xd, dtype=g.dtype)),))
     return out
 
 

@@ -104,6 +104,16 @@ def test_gen_data_unknown_task(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_data_rejects_empty_count(tmp_path, capsys, n):
+    out = tmp_path / "x.bin"
+    code, _, err = run(capsys, "gen-data", "--task", "border", "--n", n,
+                       "--seed", "0", "--out", str(out))
+    assert code == 1
+    assert "n must be >= 1" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 

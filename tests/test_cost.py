@@ -29,7 +29,7 @@ def report():
 
 
 def test_single_conv_param_count():
-    model = build_model(ModelSpec("vgg11-bn"), Rng(0))
+    model = build_model(ModelSpec("vgg11-bn"), Rng(0), init="zeros")
     conv1 = model._children["features"]._children["conv1"]
     (_, params, _), = conv1.walk_cost((3, 224, 224))[1]
     assert params == 3 * 3 * 3 * 64 + 64 == 1792

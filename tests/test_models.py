@@ -4,11 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tensor, Variable
+from padlab.autodiff import Tape, Tensor, Variable, backward
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
 from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model, forward,
                            normalize_family)
-from padlab.nn import PaddingMode
+from padlab.nn import PaddingMode, softmax_cross_entropy
 from padlab.rng import Rng
 
 FIRST_CONV = {"vgg11-bn": "features.conv1.weight", "vgg16-bn": "features.conv1.weight",
@@ -30,16 +30,19 @@ def test_unknown_family_rejected():
 
 
 def test_resnet18_first_conv_shapes():
+    # the one full-size Kaiming build; the other shape tests build zeros
     base = build_model(ModelSpec("resnet18"), Rng(0))
-    assert _params(base)["stem.conv.weight"].value.shape == (64, 3, 7, 7)
-    pc = build_model(ModelSpec("resnet18", pad_channel=True), Rng(0))
+    stem = _params(base)["stem.conv.weight"].value
+    assert stem.shape == (64, 3, 7, 7)
+    assert stem.data.std() == pytest.approx(np.sqrt(2 / 147), rel=0.05)
+    pc = build_model(ModelSpec("resnet18", pad_channel=True), Rng(0), init="zeros")
     assert _params(pc)["stem.conv.weight"].value.shape == (64, 4, 7, 7)
     assert _total(pc) - _total(base) == 3136
 
 
 def test_vgg11_first_conv_growth():
-    base = build_model(ModelSpec("vgg11-bn"), Rng(0))
-    pc = build_model(ModelSpec("vgg11-bn", pad_channel=True), Rng(0))
+    base = build_model(ModelSpec("vgg11-bn"), Rng(0), init="zeros")
+    pc = build_model(ModelSpec("vgg11-bn", pad_channel=True), Rng(0), init="zeros")
     assert _params(pc)["features.conv1.weight"].value.shape == (64, 4, 3, 3)
     assert _total(pc) - _total(base) == 576
 
@@ -48,9 +51,10 @@ def test_vgg11_first_conv_growth():
 def test_param_delta_is_first_conv_kernel_slice(family):
     size = 32 if family.startswith("tiny") else 224
     classes = 2 if family.startswith("tiny") else 1000
-    base = build_model(ModelSpec(family, num_classes=classes, input_size=size), Rng(0))
+    base = build_model(ModelSpec(family, num_classes=classes, input_size=size), Rng(0),
+                       init="zeros")
     pc = build_model(ModelSpec(family, pad_channel=True, num_classes=classes,
-                               input_size=size), Rng(0))
+                               input_size=size), Rng(0), init="zeros")
     w = _params(base)[FIRST_CONV[family]].value.shape
     cout, _, kh, kw = w
     assert _total(pc) - _total(base) == kh * kw * cout
@@ -135,7 +139,7 @@ def test_manifest_layer_shapes_and_counts():
     for family, entry in manifest.items():
         spec = ModelSpec(family, num_classes=entry["num_classes"],
                          input_size=entry["input_size"])
-        model = build_model(spec, Rng(0))
+        model = build_model(spec, Rng(0), init="zeros")
         got = [[name, list(v.value.shape)] for name, v in model.named_parameters()]
         assert got == entry["parameters"], f"{family} parameter list drifted"
         assert _total(model) == entry["params_total"]
@@ -156,5 +160,44 @@ def test_tiny_families_stay_desk_scale():
 
 def test_family_name_normalization():
     assert normalize_family("VGG11_BN") == "vgg11-bn"
-    m = build_model(ModelSpec("ResNet18"), Rng(0))
+    m = build_model(ModelSpec("ResNet18"), Rng(0), init="zeros")
     assert m.spec_id == "resnet18"
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_train_activations_stay_channel_major(family):
+    # conv writes (C, N, H, W) memory; the ops after it keep that order in
+    # forward and backward, so the gradient reaching conv backward reshapes
+    # to its GEMM operand without a copy
+    model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0))
+    batch = Tensor(Rng(1).normal((4, 3, 32, 32)))
+    tape = Tape()
+    logits = model.forward(batch, "train", tape, Rng(2))
+    grads = []
+
+    def keep_grad(op, fn):
+        def wrapped(g):
+            grads.append((op, g))
+            return fn(g)
+        return wrapped
+
+    ops, wrapped = [], 0
+    for entry in tape.entries:
+        op = entry.backward_fn.__qualname__.split(".")[0]
+        ops.append(op)
+        data = entry.output.value.data
+        if op in ("conv2d", "batchnorm2d", "relu", "maxpool2d") and data.ndim == 4:
+            assert data.transpose(1, 0, 2, 3).flags.c_contiguous, op
+            entry.backward_fn = keep_grad(op, entry.backward_fn)
+            wrapped += 1
+    assert {"conv2d", "batchnorm2d", "relu"} <= set(ops)
+    assert ("maxpool2d" in ops) == (family == "tinyvgg")
+    backward(softmax_cross_entropy(logits, np.array([0, 1, 0, 1]), tape), tape)
+    assert len(grads) == wrapped
+    for op, g in grads:
+        # channel-major order: C has the largest stride, then N, H, W (a
+        # padded conv's input gradient is a strided view of such memory)
+        assert list(np.argsort(g.strides)[::-1]) == [1, 0, 2, 3], op
+        if op == "conv2d":
+            assert np.shares_memory(g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1), g)

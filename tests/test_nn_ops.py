@@ -528,3 +528,86 @@ def test_avgpools_match_np_mean(dtype):
         out_h, out_w = (int(v) for v in rng.integers(1, 5, 2))
         _same_bytes(adaptive_avgpool2d(_var(x), out_h, out_w).value.data,
                     mean_adaptive_avgpool2d(x, out_h, out_w))
+
+
+# ---------------------------------------------------------------------------
+# memory layout: ops take (N, C, H, W) shapes in any memory order
+
+def _channel_major(a):
+    """The same (N, C, H, W) values stored as a (C, N, H, W)-contiguous array."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _both_layouts(op, arrays, g):
+    """op's output and grads with the first array (and g) in NCHW order, then
+    with both channel-major."""
+    nchw = _op_backward(op, arrays, g)
+    cm = _op_backward(op, [_channel_major(arrays[0]), *arrays[1:]], _channel_major(g))
+    return nchw, cm
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride, bias", [(3, 1, True), (3, 2, False), (1, 2, True)])
+def test_conv_same_bytes_in_either_layout(dtype, k, stride, bias):
+    rng = np.random.default_rng(10 * k + stride)
+    for n, c, size, cout in ((2, 3, 7, 4), (16, 8, 16, 16)):
+        x = rng.standard_normal((n, c, size, size)).astype(dtype)
+        w = rng.standard_normal((cout, c, k, k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        spec = ConvSpec(c, cout, k, k, stride, bias=bias)
+        ho = (size - k) // stride + 1
+        g = _signed_zero_grad(rng, (n, cout, ho, ho), dtype)
+        (out, grads), (out_cm, grads_cm) = _both_layouts(
+            lambda xv, wv, bv, tape: conv2d(xv, wv, bv if bias else None, spec, tape),
+            [x, w, b], g)
+        assert out_cm.transpose(1, 0, 2, 3).flags.c_contiguous
+        for got, want in zip((out_cm, *grads_cm), (out, *grads)):
+            _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op_name", ["relu", "pad2d", "maxpool2d-2s2", "maxpool2d-3s2p1"])
+def test_pointwise_and_pool_same_bytes_in_either_layout(dtype, op_name):
+    rng = np.random.default_rng(7)
+    op, out_hw = {"relu": (lambda v, tape: relu(v, tape), 8),
+                  "pad2d": (lambda v, tape: pad2d(v, 2, tape=tape), 12),
+                  "maxpool2d-2s2": (lambda v, tape: maxpool2d(v, 2, 2, tape=tape), 4),
+                  "maxpool2d-3s2p1": (lambda v, tape: maxpool2d(v, 3, 2, 1, tape=tape), 4),
+                  }[op_name]
+    x = np.maximum(rng.standard_normal((4, 5, 8, 8)), 0).astype(dtype)  # ties, zeros
+    g = _signed_zero_grad(rng, (4, 5, out_hw, out_hw), dtype)
+    (out, grads), (out_cm, grads_cm) = _both_layouts(op, [x], g)
+    assert out_cm.transpose(1, 0, 2, 3).flags.c_contiguous
+    for got, want in zip((out_cm, *grads_cm), (out, *grads)):
+        _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_agrees_in_either_layout(dtype, tol, mode):
+    # Only the summation order of the per-channel reductions may change. A
+    # reordered mean moves xhat by about eps * |mean| / std, so the bound is
+    # relative to the largest value, times that conditioning of x.
+    big = [(np.random.default_rng(s), shape, 1.0)
+           for s, shape in enumerate([(64, 8, 32, 32), (64, 32, 8, 8)])]
+    for rng, shape, scale in [*_random_shapes(5, 30), *big]:
+        if mode == "train" and shape[0] * shape[2] * shape[3] < 2:
+            continue
+        c = shape[1]
+        spec = BatchNormSpec(c)
+        states = [BatchNormState(c, dtype) for _ in range(2)]
+        x = (rng.standard_normal(shape) * scale + rng.standard_normal()).astype(dtype)
+        gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+        g = _signed_zero_grad(rng, shape, dtype)
+        results = []
+        for state, xs, gs in zip(states, (x, _channel_major(x)), (g, _channel_major(g))):
+            out, grads = _op_backward(
+                lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, spec, mode, tape),
+                [xs, gamma, beta], gs)
+            results.append((out, *grads, state.running_mean, state.running_var))
+        x64 = x.astype(np.float64)
+        mean, std = x64.mean(axis=(0, 2, 3)), x64.std(axis=(0, 2, 3)) + spec.eps
+        cond = 1.0 + np.max(np.abs(mean) / std) if mode == "train" else 1.0
+        for got, want in zip(*results[::-1]):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=tol * cond * np.max(np.abs(want)))
