@@ -7,6 +7,8 @@ operations append `TapeEntry` records to a `Tape` in execution order, which is
 automatically a topological order, so `backward` is a single reverse sweep.
 
 Gradient accumulation over fan-out is plain summation in recording order.
+An untouched `.grad` is a read-only zero view (`zeros_view`); nothing writes
+into `.grad` in place, every accumulation builds a new array.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from .errors import GraphError, NumericError, ShapeError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _NP_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_ZERO = bytes(8)  # one f64-sized zero that every zero view reads
+
+
+def zeros_view(shape, dtype) -> np.ndarray:
+    """Read-only all-zero array of `shape` with all strides 0: it owns no memory."""
+    return np.ndarray(shape, dtype, _ZERO, 0, (0,) * len(shape))  # positional: cheaper
 
 
 class Tensor:
@@ -90,7 +98,7 @@ class Variable:
     def __init__(self, value, requires_grad: bool = False, name: str | None = None):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.requires_grad = bool(requires_grad)
-        self.grad = (np.zeros(self.value.data.shape, self.value.data.dtype)
+        self.grad = (zeros_view(self.value.data.shape, self.value.data.dtype)
                      if self.requires_grad else None)
         self.name = name
 
@@ -104,7 +112,7 @@ class Variable:
 
     def zero_grad(self):
         if self.requires_grad:
-            self.grad = np.zeros(self.value.data.shape, self.value.data.dtype)
+            self.grad = zeros_view(self.value.data.shape, self.value.data.dtype)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -166,7 +174,7 @@ def backward(loss: Variable, tape: Tape) -> dict:
     for var, g in pending.items():
         if var.requires_grad:
             if var.grad is None:
-                var.grad = np.zeros_like(var.value.data)
+                var.grad = zeros_view(var.value.data.shape, var.value.data.dtype)
             var.grad = var.grad + g
             grad_map[var] = g
     return grad_map

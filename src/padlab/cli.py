@@ -241,7 +241,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = load_experiment(args.config)
-    model = build_model(exp.spec, Rng(0))
+    model = build_model(exp.spec, Rng(0), init="zeros")
     ckpt = Checkpoint.load(args.checkpoint)
     ckpt.apply_to(model)
     _, val_images = exp.load_datasets()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, Variable
+from .autodiff import Tape, Tensor, Variable, zeros_view
 from .errors import (ConfigError, GeometryError, IncompatiblePaddingError,
                      ShapeError)
 from .nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
@@ -164,8 +164,8 @@ class Conv2d(Module):
         super().__init__()
         self.spec = spec
         shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        if init == "zeros":  # cost analysis never reads weight values
-            weight = Tensor(np.zeros(shape, np.float32))
+        if init == "zeros":  # structure only: a read-only view, trainable once loaded
+            weight = Tensor(zeros_view(shape, np.float32))
         else:
             weight = kaiming_init(shape, rng.child("weight"))
         self.weight = self.add_param("weight", weight)
@@ -305,7 +305,7 @@ class Linear(Module):
                  init: str = "kaiming"):
         super().__init__()
         if init == "zeros":
-            weight = Tensor(np.zeros((out_features, in_features), np.float32))
+            weight = Tensor(zeros_view((out_features, in_features), np.float32))
         else:
             weight = kaiming_init((out_features, in_features), rng.child("weight"))
         self.weight = self.add_param("weight", weight)
@@ -582,8 +582,11 @@ def _build_tinyvgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
 def build_model(spec: ModelSpec, rng: Rng, init: str = "kaiming") -> Model:
     """Realise a ModelSpec; deterministic given (spec, rng seed).
 
-    init="zeros" skips weight sampling, for consumers that only need the
-    structure (cost accounting).
+    init="zeros" skips weight sampling and builds a structure-only model for
+    consumers that read shapes or load every tensor afterwards (cost
+    accounting, `padlab eval`): its conv and linear weights are read-only
+    zero views that own no memory, so it is not trainable until a checkpoint
+    is loaded with `load_state`.
     """
     _check_pad_channel(spec)
     family = normalize_family(spec.family)

@@ -8,7 +8,9 @@ verification anchors in the tests, never in this code path.
 
 The default two-sample test pools the variance (df = n1 + n2 - 2) with the
 one-sided alternative "second group mean exceeds the first"; a Welch variant
-is available for sensitivity checks.
+is available for sensitivity checks. `variance_ratio_one_sided` tests the
+paper's second claim, that the pad channel lowers the run-to-run variance,
+with a one-sided F-test on the same incomplete beta function.
 """
 
 from __future__ import annotations
@@ -144,6 +146,22 @@ def welch_t_one_sided(base, treated) -> tuple[float, float]:
     t = (m2 - m1) / math.sqrt(v1 + v2)
     df = (v1 + v2) ** 2 / (v1 ** 2 / (n1 - 1) + v2 ** 2 / (n2 - 1))
     return t, 1.0 - t_cdf(t, df)
+
+
+def variance_ratio_one_sided(base, treated) -> tuple[float, float]:
+    """Variance-ratio F-test; p is one-sided for 'treated variance < base variance'.
+
+    F = s_base^2 / s_treated^2 with d1 = n_base - 1, d2 = n_treated - 1, and
+    p = P(F(d1, d2) >= F) = I_{d2 / (d2 + d1 F)}(d2 / 2, d1 / 2). A constant
+    treated group gives F = inf and p = 0.0, unless both are constant (F = 1).
+    """
+    base, treated = list(base), list(treated)
+    if len(base) < 2 or len(treated) < 2:
+        raise DegenerateSampleError("both groups need at least two runs")
+    v1, v2 = sample_stdev(base) ** 2, sample_stdev(treated) ** 2
+    d1, d2 = len(base) - 1, len(treated) - 1
+    f = v1 / v2 if v2 else (math.inf if v1 else 1.0)
+    return f, betainc_reg(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,42 @@ def test_grad_accumulates_across_backward_calls():
     assert np.allclose(x.grad, [0.0])
 
 
+def _is_zero_view(arr, shape, dtype):
+    return (arr.shape == shape and arr.dtype == dtype and not arr.any()
+            and all(st == 0 for st in arr.strides) and not arr.flags.writeable)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_untouched_grad_is_a_read_only_zero_view(dtype):
+    x = Variable(Tensor(np.ones((2, 3, 4, 5)), dtype=dtype), requires_grad=True)
+    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.value.data.dtype)
+    tape = Tape()
+    backward(sum_all(mul(x, x, tape), tape), tape)
+    assert x.grad.any() and x.grad.flags.writeable
+    x.zero_grad()
+    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.value.data.dtype)
+    with pytest.raises(ValueError):
+        x.grad[0, 0, 0, 0] = 1.0
+    assert Variable(Tensor(np.ones(3))).grad is None
+
+
+def test_negative_zero_gradient_lands_as_positive_zero():
+    x = Variable(Tensor(np.array([1.0, 2.0]), dtype="f64"), requires_grad=True)
+    c = Variable(Tensor(np.array([-0.0, 3.0]), dtype="f64"))
+    tape = Tape()
+    gmap = backward(sum_all(mul(x, c, tape), tape), tape)
+    assert np.signbit(gmap[x]).tolist() == [True, False]
+    assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
+
+
+def test_fanout_and_repeated_backward_sum_exactly():
+    x = Variable(Tensor(np.array([1.0, -2.0, 0.5]), dtype="f64"), requires_grad=True)
+    for _ in range(2):
+        tape = Tape()
+        backward(sum_all(add(mul(x, x, tape), x, tape), tape), tape)
+    assert x.grad.tobytes() == (2 * (2 * x.value.data + 1)).tobytes()
+
+
 def test_grad_check_sum_is_tiny():
     x = Tensor(Rng(0).normal((2, 3, 4, 4), dtype=np.float64))
     err = grad_check(lambda v, t: sum_all(v, t), x)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,16 @@ def test_tiny_rows_present_in_extended_table():
         pc = report.row(family, "pc")
         assert pc.params_delta > 0
         assert pc.macs_delta > 0
+
+
+def test_cost_pair_allocates_no_parameter_memory():
+    # vgg16-bn has 138M parameters; reading its structure must not allocate
+    # them (weights and gradients are zero-stride views)
+    cost_pair("vgg16-bn", 224)
+    tracemalloc.start()
+    try:
+        cost_pair("vgg16-bn", 224)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from padlab.autodiff import Tape, Tensor, Variable, backward
+from padlab.checkpoint import model_state
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
 from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model, forward,
                            normalize_family)
 from padlab.nn import PaddingMode, softmax_cross_entropy
 from padlab.rng import Rng
+from padlab.training import sgd_step
 
 FIRST_CONV = {"vgg11-bn": "features.conv1.weight", "vgg16-bn": "features.conv1.weight",
               "resnet18": "stem.conv.weight", "resnet50": "stem.conv.weight",
@@ -201,3 +203,40 @@ def test_train_activations_stay_channel_major(family):
         assert list(np.argsort(g.strides)[::-1]) == [1, 0, 2, 3], op
         if op == "conv2d":
             assert np.shares_memory(g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1), g)
+
+
+def test_zeros_init_weights_are_read_only_zero_views():
+    model = build_model(ModelSpec("vgg16-bn", pad_channel=True), Rng(0), init="zeros")
+    weights = 0
+    for name, var in model.named_parameters():
+        data = var.value.data
+        if name.endswith("weight"):
+            weights += 1
+            assert not data.any() and not data.flags.writeable, name
+            assert all(st == 0 for st in data.strides), name
+        else:  # conv/linear biases and BatchNorm vectors stay owned arrays
+            assert data.flags.writeable and data.flags.c_contiguous, name
+    assert weights == 13 + 3
+    with pytest.raises(ValueError):  # not trainable until a state is loaded
+        sgd_step(model.parameters(), {}, 0.1, 0.0, 0.0)
+
+
+def test_zeros_build_loaded_from_checkpoint_matches_kaiming_build():
+    # a structure-only model that loads a state is the same model: bit-equal
+    # eval logits, and one training step gives bit-equal parameters
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    kaiming = build_model(spec, Rng(5))
+    loaded = build_model(spec, Rng(0), init="zeros")
+    loaded.load_state(model_state(kaiming))
+    batch = Tensor(Rng(6).uniform((4, 3, 32, 32)))
+    assert (kaiming.forward(batch, "eval").value.data.tobytes()
+            == loaded.forward(batch, "eval").value.data.tobytes())
+    for model in (kaiming, loaded):
+        tape = Tape()
+        logits = model.forward(batch, "train", tape, Rng(7))
+        backward(softmax_cross_entropy(logits, np.array([0, 1, 1, 0]), tape), tape)
+        sgd_step(model.parameters(), {}, 0.1, 0.9, 5e-4)
+    for (name, a), (_, b) in zip(kaiming.named_parameters(), loaded.named_parameters()):
+        assert a.value.data.tobytes() == b.value.data.tobytes(), name
+    assert (kaiming.forward(batch, "eval").value.data.tobytes()
+            == loaded.forward(batch, "eval").value.data.tobytes())

@@ -8,7 +8,7 @@ from padlab.errors import DegenerateSampleError, MissingPairError
 from padlab.stats import (RunGroup, bar_chart_svg,
                           betainc_reg, groups_from_csv, load_reference_runs,
                           mean, pooled_t_one_sided, sample_stdev, summarize,
-                          t_cdf, welch_t_one_sided)
+                          t_cdf, variance_ratio_one_sided, welch_t_one_sided)
 
 # printed aggregates for the committed reference runs
 PRINTED = {
@@ -154,3 +154,47 @@ def test_groups_from_csv_roundtrip():
     groups = groups_from_csv(text)
     assert [g.variant for g in groups] == ["base", "pc"]
     assert groups[0].best_top1 == [70.0, 71.0]
+
+
+def _scaled(n, scale):
+    # n values with sample variance scale**2 * var(range(n))
+    return [scale * i for i in range(n)]
+
+
+@pytest.mark.parametrize("ratio", [0.25, 1.0, 3.0, 40.0])
+def test_variance_ratio_closed_form_d2_d2(ratio):
+    f, p = variance_ratio_one_sided(_scaled(3, math.sqrt(ratio)), _scaled(3, 1.0))
+    assert f == pytest.approx(ratio, rel=1e-12)
+    assert p == pytest.approx(1.0 / (1.0 + f), abs=1e-12)
+
+
+def test_variance_ratio_matches_scipy_f_sf():
+    fdist = pytest.importorskip("scipy.stats").f
+    for n1 in (2, 3, 5, 8, 21):
+        for n2 in (2, 3, 5, 8, 21):
+            for ratio in (0.05, 0.5, 1.0, 1.7, 4.0, 30.0):
+                f, p = variance_ratio_one_sided(_scaled(n1, math.sqrt(ratio)),
+                                                _scaled(n2, 1.0))
+                expect_f = (sample_stdev(_scaled(n1, math.sqrt(ratio))) ** 2
+                            / sample_stdev(_scaled(n2, 1.0)) ** 2)
+                assert f == pytest.approx(expect_f, rel=1e-12)
+                assert abs(p - fdist.sf(f, n1 - 1, n2 - 1)) < 1e-10, (n1, n2, ratio)
+
+
+def test_variance_ratio_degenerate_groups():
+    with pytest.raises(DegenerateSampleError):
+        variance_ratio_one_sided([1.0], [1.0, 2.0])
+    assert variance_ratio_one_sided([1.0, 2.0], [3.0, 3.0]) == (math.inf, 0.0)
+    assert variance_ratio_one_sided([3.0, 3.0], [1.0, 2.0]) == (0.0, 1.0)
+    f, p = variance_ratio_one_sided([3.0, 3.0], [1.0, 1.0])
+    assert f == 1.0 and p == pytest.approx(0.5, abs=1e-12)
+
+
+def test_variance_ratio_on_reference_runs():
+    # every pc arm is less variable, none significantly so on its own
+    table = {"vgg11-bn": (2.78, 0.17), "vgg16-bn": (2.10, 0.25),
+             "resnet18": (1.24, 0.42), "resnet50": (1.78, 0.30)}
+    groups = {(g.arch, g.variant): g.best_top1 for g in load_reference_runs()}
+    for arch, (f_printed, p_printed) in table.items():
+        f, p = variance_ratio_one_sided(groups[arch, "base"], groups[arch, "pc"])
+        assert (round(f, 2), round(p, 2)) == (f_printed, p_printed), arch
