@@ -300,7 +300,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("the binary record layout stores 32x32 images")
     images = gen_border_task(args.n, args.size, Rng(args.seed))
     save_cifar_binary(images, args.out)
-    ones = sum(img.label for img in images)
+    ones = int(images.labels.sum())
     print(f"wrote {len(images)} records to {args.out} "
           f"({ones} boundary-positive)")
     return 0

@@ -1,6 +1,10 @@
 """Desk-scale datasets and the train/eval transform pipelines.
 
-Datasets are lists of `LabeledImage` (pixels in [0, 1], shape (3, S, S)).
+A `Dataset` holds n images as one block: `pixels` (n, 3, S, S) with values in
+[0, 1] and `labels` (n,) int64. Slices are Datasets of views and an integer
+index is a `LabeledImage` view, so splitting, batching and evaluation read the
+images in place. A plain list of `LabeledImage` is stacked once by
+`as_dataset` where it enters a function that reads whole datasets.
 The on-disk format is the classic CIFAR-10 binary layout (3073-byte records:
 one label byte, then 3072 pixel bytes as R/G/B planes of a 32x32 image), which
 needs no image codec; synthetic datasets serialize to the same layout.
@@ -18,12 +22,13 @@ already has the target size (which keeps identity configs bit-exact).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, CorruptFileError, InvalidLabelError
+from .errors import ConfigError, CorruptFileError, InvalidLabelError, ShapeError
 from .rng import Rng
 
 RECORD_BYTES = 3073
@@ -34,6 +39,53 @@ CIFAR_SIDE = 32
 class LabeledImage:
     pixels: Tensor  # (3, S, S), values in [0, 1]
     label: int
+
+
+class Dataset:
+    """n labeled images as one block; see the module docstring."""
+
+    __slots__ = ("pixels", "labels")
+
+    def __init__(self, pixels, labels):
+        pixels, labels = np.asarray(pixels), np.asarray(labels)
+        if pixels.ndim != 4:
+            raise ShapeError(
+                f"dataset pixels must be (n, C, S, S), got shape {pixels.shape}")
+        if pixels.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"dataset pixels must be f32 or f64, got {pixels.dtype}")
+        if labels.ndim != 1:
+            raise ShapeError(f"dataset labels must be (n,), got shape {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ConfigError(f"dataset labels must be integers, got {labels.dtype}")
+        if len(labels) != len(pixels):
+            raise ShapeError(f"{len(pixels)} images but {len(labels)} labels")
+        self.pixels = pixels
+        self.labels = labels.astype(np.int64, copy=False)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Dataset(self.pixels[key], self.labels[key])
+        i = operator.index(key)
+        return LabeledImage(Tensor(self.pixels[i]), int(self.labels[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def as_dataset(images) -> Dataset:
+    """`images` itself if it is a Dataset, else its `LabeledImage`s stacked once."""
+    if isinstance(images, Dataset):
+        return images
+    if len(images) == 0:
+        raise ConfigError("dataset is empty")
+    try:
+        pixels = np.stack([img.pixels.data for img in images])
+    except ValueError as exc:
+        raise ShapeError(f"images differ in shape: {exc}") from exc
+    return Dataset(pixels, [img.label for img in images])
 
 
 @dataclass(frozen=True)
@@ -80,7 +132,7 @@ def identity_augment(size: int) -> AugmentConfig:
 # ---------------------------------------------------------------------------
 # on-disk format
 
-def load_cifar_binary(path) -> list[LabeledImage]:
+def load_cifar_binary(path) -> Dataset:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0 or len(blob) % RECORD_BYTES != 0:
@@ -90,30 +142,45 @@ def load_cifar_binary(path) -> list[LabeledImage]:
     labels = records[:, 0]
     if labels.max() > 9:
         raise InvalidLabelError(f"{path}: label byte {labels.max()} > 9")
-    planes = records[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE)
-    pixels = planes.astype(np.float32) / 255.0
-    return [LabeledImage(Tensor(pixels[i]), int(labels[i]))
-            for i in range(len(labels))]
+    pixels = records[:, 1:].reshape(-1, 3, CIFAR_SIDE, CIFAR_SIDE).astype(np.float32)
+    pixels /= 255.0
+    return Dataset(pixels, labels)
 
 
 def save_cifar_binary(images, path):
-    chunks = []
-    for img in images:
-        if img.pixels.shape != (3, CIFAR_SIDE, CIFAR_SIDE):
-            raise ConfigError(
-                f"binary layout stores (3, 32, 32) images, got {img.pixels.shape}")
-        if not (0 <= img.label <= 9):
-            raise InvalidLabelError(f"label {img.label} outside [0, 9]")
-        quantized = np.rint(img.pixels.data * 255.0).astype(np.uint8)
-        chunks.append(bytes([img.label]) + quantized.tobytes())
+    """Write `images` as 3073-byte records.
+
+    Pixels are quantized as rint(x * 255), so anything that would not survive
+    that (non-finite, outside [0, 1]) is rejected, as are labels outside
+    [0, 9], before `path` is opened.
+    """
+    if len(images) == 0:
+        raise ConfigError("no images to save")
+    ds = as_dataset(images)
+    pixels, n = ds.pixels, len(ds)
+    if pixels.shape[1:] != (3, CIFAR_SIDE, CIFAR_SIDE):
+        raise ConfigError(
+            f"binary layout stores (3, 32, 32) images, got {pixels.shape[1:]}")
+    lo, hi = pixels.min(), pixels.max()  # NaN propagates and fails the test
+    if not (0 <= lo and hi <= 1):
+        raise ConfigError(
+            f"pixels must be finite and lie in [0, 1] to be stored, got [{lo}, {hi}]")
+    if ds.labels.min() < 0 or ds.labels.max() > 9:
+        raise ConfigError(
+            f"labels must lie in [0, 9], got [{ds.labels.min()}, {ds.labels.max()}]")
+    records = np.empty((n, RECORD_BYTES), np.uint8)
+    records[:, 0] = ds.labels
+    for start in range(0, n, 256):  # bounds the float temporaries to 3 MB
+        chunk = pixels[start:start + 256]
+        records[start:start + len(chunk), 1:] = np.rint(chunk.reshape(len(chunk), -1) * 255.0)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(records)
 
 
 # ---------------------------------------------------------------------------
 # synthetic boundary-sensitive task
 
-def gen_border_task(n: int, size: int, rng: Rng) -> list[LabeledImage]:
+def gen_border_task(n: int, size: int, rng: Rng) -> Dataset:
     """Bright 3x3 patch on faint noise; label 1 iff it touches the outer ring.
 
     Per image the draw order is fixed: noise block first, then the patch
@@ -123,15 +190,15 @@ def gen_border_task(n: int, size: int, rng: Rng) -> list[LabeledImage]:
         raise ConfigError(f"n must be >= 1, got {n}")
     if size < 8:
         raise ConfigError(f"size must be >= 8, got {size}")
-    images = []
-    for _ in range(n):
-        pix = rng.uniform((3, size, size), 0.0, 0.2)
+    pixels = np.empty((n, 3, size, size), np.float32)
+    labels = np.empty(n, np.int64)
+    for i in range(n):
+        pixels[i] = rng.uniform((3, size, size), 0.0, 0.2)
         r = int(rng.integers(0, size - 2))
         c = int(rng.integers(0, size - 2))
-        pix[:, r:r + 3, c:c + 3] = 1.0
-        touches = r <= 1 or r >= size - 4 or c <= 1 or c >= size - 4
-        images.append(LabeledImage(Tensor(pix), int(touches)))
-    return images
+        pixels[i, :, r:r + 3, c:c + 3] = 1.0
+        labels[i] = r <= 1 or r >= size - 4 or c <= 1 or c >= size - 4
+    return Dataset(pixels, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +278,7 @@ def augment_eval(img: LabeledImage, cfg: AugmentConfig) -> Tensor:
 
 def channel_mean_std(images) -> tuple[tuple, tuple]:
     """Per-channel mean/std over a dataset, for filling in normalization."""
-    stacked = np.stack([img.pixels.data for img in images])
-    mean = stacked.mean(axis=(0, 2, 3))
-    std = stacked.std(axis=(0, 2, 3))
+    pixels = as_dataset(images).pixels
+    mean = pixels.mean(axis=(0, 2, 3))
+    std = pixels.std(axis=(0, 2, 3))
     return tuple(float(v) for v in mean), tuple(float(v) for v in std)

@@ -434,11 +434,10 @@ class Model(Module):
         for var in self.parameters():
             var.zero_grad()
 
-    def forward(self, batch, ctx_or_mode="eval", tape: Tape | None = None,
+    def forward(self, batch, mode: str = "eval", tape: Tape | None = None,
                 rng: Rng | None = None) -> Variable:
         """Run the network on an (N, input_channels, S, S) batch; returns logits."""
-        ctx = (ctx_or_mode if isinstance(ctx_or_mode, Forward)
-               else Forward(ctx_or_mode, tape, rng))
+        ctx = Forward(mode, tape, rng)
         x = batch if isinstance(batch, Variable) else Variable(batch)
         if len(x.shape) != 4 or x.shape[1] != self.spec.input_channels:
             raise ShapeError(
@@ -600,7 +599,3 @@ def build_model(spec: ModelSpec, rng: Rng, init: str = "kaiming") -> Model:
         return _build_tinyvgg(spec, rng, init)
     raise ConfigError(f"unknown family {spec.family!r}")
 
-
-def forward(model: Model, batch, mode: str = "eval", tape: Tape | None = None,
-            rng: Rng | None = None) -> Variable:
-    return model.forward(batch, mode, tape, rng)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .autodiff import Tape, Variable, backward
 from .checkpoint import model_state, read_tensors, write_tensors
-from .data import AugmentConfig, augment_eval, augment_train
+from .data import (AugmentConfig, Dataset, as_dataset, augment_eval,
+                   augment_train)
 from .errors import (ConfigError, CorruptFileError, NumericError,
                      TrainingDivergedError)
 from .models import Model, ModelSpec, build_model
@@ -161,10 +162,10 @@ class Checkpoint:
         model.load_state(self.tensors)
 
 
-def _eval_batch_array(images, augment: AugmentConfig | None) -> np.ndarray:
+def _eval_batch_array(ds: Dataset, augment: AugmentConfig | None) -> np.ndarray:
     if augment is None:
-        return np.stack([img.pixels.data for img in images])
-    return np.stack([augment_eval(img, augment).data for img in images])
+        return ds.pixels
+    return np.stack([augment_eval(img, augment).data for img in ds])
 
 
 def evaluate(model: Model, images, augment: AugmentConfig | None = None,
@@ -178,16 +179,16 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
     """
     if len(images) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
-    data = _pre if _pre is not None else _eval_batch_array(images, augment)
-    labels = np.asarray([img.label for img in images])
+    ds = as_dataset(images)
+    data = _pre if _pre is not None else _eval_batch_array(ds, augment)
     correct = 0
-    for start in range(0, len(images), batch_size):
+    for start in range(0, len(ds), batch_size):
         batch = data[start:start + batch_size]
         logits = model.forward(Variable(batch), "eval").value.data
         if not np.isfinite(logits).all():
             raise NumericError(f"non-finite logits in batch at {start}")
-        correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
-    return 100.0 * correct / len(images)
+        correct += int((logits.argmax(axis=1) == ds.labels[start:start + batch_size]).sum())
+    return 100.0 * correct / len(ds)
 
 
 def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
@@ -195,23 +196,23 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
               progress=None) -> tuple[RunLog, Checkpoint, Model]:
     """One seeded run; returns the log, the best checkpoint and the final model.
 
+    Without `augment`, batches are gathered from the training pixels and
+    validation reads its pixels in place; lists of `LabeledImage` are stacked
+    once on entry.
+
     Raises TrainingDivergedError (with .runlog holding the partial log) on
     non-finite loss, gradients, validation logits or best-checkpoint tensors.
     """
     if len(train_images) == 0 or len(val_images) == 0:
         raise ConfigError("train and validation sets must be non-empty")
+    train, val = as_dataset(train_images), as_dataset(val_images)
     rng = Rng(seed)
     model = build_model(spec, rng.child("init"))
     log = RunLog(spec.spec_id, seed)
     velocity: dict = {}
     params = model.parameters()
-    labels_all = np.asarray([img.label for img in train_images])
-    n = len(train_images)
-
-    raw_train = None
-    if augment is None:
-        raw_train = np.stack([img.pixels.data for img in train_images])
-    val_pre = _eval_batch_array(val_images, augment)
+    n = len(train)
+    val_pre = _eval_batch_array(val, augment)
 
     best: Checkpoint | None = None
     dropout_rng = rng.child("dropout")
@@ -224,14 +225,14 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
             loss_sum, seen = 0.0, 0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                if raw_train is not None:
-                    batch = raw_train[idx]
+                if augment is None:
+                    batch = train.pixels[idx]
                 else:
-                    batch = np.stack([augment_train(train_images[i], augment,
+                    batch = np.stack([augment_train(train[i], augment,
                                                     aug_rng).data for i in idx])
                 tape = Tape()
                 logits = model.forward(Variable(batch), "train", tape, dropout_rng)
-                loss = softmax_cross_entropy(logits, labels_all[idx], tape)
+                loss = softmax_cross_entropy(logits, train.labels[idx], tape)
                 loss_val = float(loss.value.data[0])
                 if not np.isfinite(loss_val):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -240,7 +241,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
                 model.zero_grads()
                 loss_sum += loss_val * len(idx)
                 seen += len(idx)
-            val_top1 = evaluate(model, val_images, augment, _pre=val_pre)
+            val_top1 = evaluate(model, val, augment, _pre=val_pre)
             record = EpochRecord(epoch, loss_sum / seen, val_top1, lr,
                                  time.perf_counter() - t0)
             log.records.append(record)
@@ -262,7 +263,10 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
 
 
 def split_train_val(images, val_fraction: float = 0.2):
-    """Deterministic tail split; generation order is already randomized."""
+    """Deterministic tail split; generation order is already randomized.
+
+    A Dataset splits into two views of its own memory.
+    """
     if not (0 < val_fraction < 1):
         raise ConfigError("val_fraction must be in (0, 1)")
     n_val = max(1, int(round(len(images) * val_fraction)))

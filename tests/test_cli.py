@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -96,6 +97,17 @@ def test_gen_data_deterministic(tmp_path, capsys):
     assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.stat().st_size == 100 * 3073
+
+
+def test_gen_data_bytes_pinned(tmp_path, capsys):
+    # sha256 taken from the per-image writer that preceded the one-block one
+    out = tmp_path / "g.bin"
+    code, stdout, _ = run(capsys, "gen-data", "--task", "border", "--n", "64",
+                          "--seed", "7", "--out", str(out))
+    assert code == 0
+    assert "wrote 64 records" in stdout and "(17 boundary-positive)" in stdout
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "6ea2aa6bdc33da95edaecd33faeba63dd06c1f1912c9dd34d64c19a35ebb72c5")
 
 
 def test_gen_data_unknown_task(tmp_path, capsys):

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from padlab.autodiff import Tensor
-from padlab.data import (AugmentConfig, EvalAugment, LabeledImage,
-                         TrainAugment, augment_eval, augment_train,
+from padlab.data import (AugmentConfig, Dataset, EvalAugment, LabeledImage,
+                         TrainAugment, as_dataset, augment_eval, augment_train,
                          channel_mean_std, gen_border_task, identity_augment,
                          load_cifar_binary, resize_bilinear, save_cifar_binary)
-from padlab.errors import ConfigError, CorruptFileError, InvalidLabelError
+from padlab.errors import (ConfigError, CorruptFileError, InvalidLabelError,
+                           ShapeError)
 from padlab.rng import Rng
 
 
@@ -71,6 +74,26 @@ def test_border_labels_match_patch_location():
         assert (r2 - r, c2 - c) == (2, 2)
         touches = r <= 1 or r2 >= 30 or c <= 1 or c2 >= 30
         assert img.label == int(touches)
+
+
+def _sha(arr) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# Taken from the per-image generator that preceded the one-block Dataset:
+# filling a preallocated block must draw the same bytes.
+@pytest.mark.parametrize("n, size, seed, pixels_sha, labels_sha", [
+    (256, 32, 42, "ddd5b876d592517800eec374cd25d012260a8ac04011dbc8c9440878475ae94b",
+     "50464819b954fecbacb452e12701391642191c3d013713488bbabafc06decf81"),
+    (64, 8, 7, "e06bdd42dc2379b6b41a73baef8ad06939855fcce84d2d14cf521a4d3d3b17d8",
+     "a84a88876f92777f08ea71c1bbd0920fad8a5ef60bd5bd1bf9c93a2846b8b906"),
+], ids=["256x32-seed42", "64x8-seed7"])
+def test_border_task_bytes_pinned(n, size, seed, pixels_sha, labels_sha):
+    ds = gen_border_task(n, size, Rng(seed))
+    assert ds.pixels.shape == (n, 3, size, size) and ds.pixels.dtype == np.float32
+    assert ds.labels.shape == (n,) and ds.labels.dtype == np.int64
+    assert _sha(ds.pixels) == pixels_sha
+    assert _sha(ds.labels) == labels_sha
 
 
 def test_border_task_rejects_small_size():
@@ -170,3 +193,99 @@ def test_channel_mean_std():
     mean, std = channel_mean_std(images)
     np.testing.assert_allclose(mean, 0.5)
     np.testing.assert_allclose(std, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Dataset
+
+def test_dataset_slices_and_items_are_views():
+    ds = gen_border_task(20, 8, Rng(1))
+    part = ds[5:15]
+    assert isinstance(part, Dataset) and len(part) == 10
+    assert np.shares_memory(part.pixels, ds.pixels)
+    assert np.shares_memory(part.labels, ds.labels)
+    img = ds[-1]
+    assert isinstance(img, LabeledImage)
+    assert np.shares_memory(img.pixels.data, ds.pixels)
+    assert img.label == ds.labels[-1] and type(img.label) is int
+    assert ds[np.int64(3)].pixels.data.tobytes() == ds.pixels[3].tobytes()
+    assert [img.label for img in part] == ds.labels[5:15].tolist()
+    with pytest.raises(IndexError):
+        ds[20]
+    with pytest.raises(TypeError):
+        ds[[1, 2]]
+
+
+@pytest.mark.parametrize("pixels, labels, error, match", [
+    (np.zeros((2, 3, 8), np.float32), [0, 1], ShapeError, "pixels must be"),
+    (np.zeros((2, 1, 3, 8, 8), np.float32), [0, 1], ShapeError, "pixels must be"),
+    (np.zeros((2, 3, 8, 8), np.uint8), [0, 1], ConfigError, "f32 or f64"),
+    (np.zeros((2, 3, 8, 8), np.float32), [[0, 1]], ShapeError, "labels must be"),
+    (np.zeros((2, 3, 8, 8), np.float32), [0.0, 1.0], ConfigError, "integers"),
+    (np.zeros((2, 3, 8, 8), np.float32), [True, False], ConfigError, "integers"),
+    (np.zeros((2, 3, 8, 8), np.float32), [0, 1, 1], ShapeError, "2 images but 3"),
+])
+def test_dataset_rejects_hostile_input(pixels, labels, error, match):
+    with pytest.raises(error, match=match):
+        Dataset(pixels, labels)
+
+
+def test_as_dataset_stacks_lists_once():
+    images = [_img(1), _img(2)]
+    ds = as_dataset(images)
+    assert ds.pixels.tobytes() == np.stack([i.pixels.data for i in images]).tobytes()
+    assert ds.labels.tolist() == [0, 0]
+    assert as_dataset(ds) is ds
+    with pytest.raises(ConfigError, match="empty"):
+        as_dataset([])
+    with pytest.raises(ShapeError, match="differ in shape"):
+        as_dataset([_img(1), _img(2, size=16)])
+
+
+def test_loader_returns_one_block(tmp_path):
+    path = tmp_path / "two.bin"
+    path.write_bytes(_record(3) + _record(7, 255))
+    ds = load_cifar_binary(path)
+    assert isinstance(ds, Dataset)
+    assert ds.pixels.shape == (2, 3, 32, 32) and ds.pixels.dtype == np.float32
+    assert ds.labels.tolist() == [3, 7]
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf, -np.inf])
+def test_save_rejects_unstorable_pixels(tmp_path, bad):
+    ds = gen_border_task(4, 32, Rng(0))
+    ds.pixels[2, 1, 5, 7] = bad
+    out = tmp_path / "x.bin"
+    with pytest.raises(ConfigError, match="finite and lie in"):
+        save_cifar_binary(ds, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [10, -1])
+def test_save_rejects_out_of_range_labels(tmp_path, label):
+    ds = gen_border_task(4, 32, Rng(0))
+    ds.labels[1] = label
+    out = tmp_path / "x.bin"
+    with pytest.raises(ConfigError, match="labels must lie"):
+        save_cifar_binary(ds, out)
+    assert not out.exists()
+
+
+def test_save_rejects_empty_and_wrong_size(tmp_path):
+    out = tmp_path / "x.bin"
+    with pytest.raises(ConfigError):
+        save_cifar_binary([], out)
+    with pytest.raises(ConfigError, match="stores"):
+        save_cifar_binary(gen_border_task(2, 16, Rng(0)), out)
+    assert not out.exists()
+
+
+def test_save_list_and_dataset_write_the_same_bytes(tmp_path):
+    ds = gen_border_task(6, 32, Rng(3))
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_cifar_binary(ds, a)
+    save_cifar_binary(list(ds), b)
+    assert a.read_bytes() == b.read_bytes()
+    back = load_cifar_binary(a)
+    assert back.labels.tolist() == ds.labels.tolist()
+    np.testing.assert_allclose(back.pixels, ds.pixels, atol=0.5 / 255 + 1e-7)

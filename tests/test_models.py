@@ -7,7 +7,7 @@ import pytest
 from padlab.autodiff import Tape, Tensor, Variable, backward
 from padlab.checkpoint import model_state
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
-from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model, forward,
+from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model,
                            normalize_family)
 from padlab.nn import PaddingMode, softmax_cross_entropy
 from padlab.rng import Rng
@@ -84,7 +84,7 @@ def test_reflect_padding_allowed_without_pad_channel():
 def test_forward_shape_contract():
     model = build_model(ModelSpec("tinyresnet", num_classes=10, input_size=32), Rng(0))
     batch = Tensor(Rng(5).uniform((4, 3, 32, 32)))
-    logits = forward(model, Variable(batch), "eval")
+    logits = model.forward(Variable(batch), "eval")
     assert logits.shape == (4, 10)
 
 

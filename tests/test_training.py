@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from padlab.autodiff import Tensor, Variable
-from padlab.data import gen_border_task
+from padlab.data import Dataset, gen_border_task
 from padlab.errors import ConfigError, NumericError, TrainingDivergedError
 from padlab.models import ModelSpec, build_model
 from padlab.rng import Rng
@@ -213,8 +213,51 @@ def test_split_fractions():
 def test_train_run_rejects_empty_validation_set():
     train, _ = _small_setup(n=80)
     spec = ModelSpec("tinyvgg", num_classes=2, input_size=32)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="must be non-empty"):
         train_run(spec, TrainConfig(epochs=1), train, [], seed=0)
+    with pytest.raises(ConfigError, match="must be non-empty"):
+        train_run(spec, TrainConfig(epochs=1), train[:0], train, seed=0)
+
+
+def test_split_halves_share_memory_with_source():
+    images = gen_border_task(40, 8, Rng(0))
+    train, val = split_train_val(images, 0.25)
+    assert isinstance(train, Dataset) and (len(train), len(val)) == (30, 10)
+    for part in (train, val):
+        assert np.shares_memory(part.pixels, images.pixels)
+        assert np.shares_memory(part.labels, images.labels)
+
+
+def test_train_run_and_evaluate_read_datasets_in_place(monkeypatch):
+    # Without an augment, nothing may stack or copy the images whole; the
+    # model reads its batches from the caller's block and must not write it.
+    train, val = _small_setup(n=160)
+    before = train.pixels.tobytes(), val.pixels.tobytes()
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("np.stack called on a Dataset path")
+
+    monkeypatch.setattr(np, "stack", no_stack)
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    cfg = TrainConfig(base_lr=0.02, epochs=1, batch_size=64)
+    log, _, model = train_run(spec, cfg, train, val, seed=0)
+    assert evaluate(model, val) == log.records[-1].val_top1
+    monkeypatch.undo()
+    assert (train.pixels.tobytes(), val.pixels.tobytes()) == before
+
+
+def test_dataset_and_list_runs_are_identical(tmp_path):
+    train, val = _small_setup(n=160)
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    cfg = TrainConfig(base_lr=0.02, epochs=2, batch_size=32)
+    paths, top1s = [], []
+    for kind, (tr, va) in (("dataset", (train, val)), ("list", (list(train), list(val)))):
+        log, best, model = train_run(spec, cfg, tr, va, seed=4)
+        paths.append(tmp_path / f"{kind}.ckpt")
+        best.save(paths[-1])
+        top1s.append((evaluate(model, va), [r.train_loss for r in log.records]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert top1s[0] == top1s[1]
 
 
 def test_train_run_deterministic(tmp_path):
