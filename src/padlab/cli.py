@@ -261,6 +261,8 @@ def _best_top1_from_glob(pattern: str) -> list[tuple[str, float]]:
 
 
 def cmd_compare(args) -> int:
+    if args.svg and not args.out:
+        raise ConfigError("--svg needs --out to name the chart files")
     if args.fixture:
         groups = stats.load_reference_runs()
     else:

@@ -165,6 +165,16 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Forward-only convolutions build and multiply their im2col columns a few
+# whole images at a time, about this many bytes per block, so the GEMM reads
+# each block from L2 right after the copy that wrote it. Swept at batch 128 on
+# tinyvgg-pc's convs (2-core Xeon, 2 MiB L2 per core, OpenBLAS on one thread,
+# median of 50 calls in each of 3 processes): the first conv took 11 ms with
+# one full 19 MB matrix, 6 ms in 512 KiB blocks, 7 ms in 256 KiB blocks and
+# 12-14 ms in 1 or 2 MiB blocks; the second fell from 7.5 to 5-6 ms.
+_COL_BLOCK_BYTES = 512 * 1024
+
+
 def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int):
     n, c = xd.shape[:2]
     sn, sc, sh, sw = xd.strides
@@ -208,9 +218,23 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         raise GeometryError(
             f"conv output {ho}x{wo} < 1 for input {h}x{w}, kernel {kh}x{kw}, stride {s}")
 
-    cols = _im2col(x.value.data, kh, kw, s, ho, wo)
+    xd = x.value.data
     wmat = weight.value.data.reshape(spec.out_channels, -1)
-    out_mat = wmat @ cols
+    m = ho * wo
+    step = n  # the weight gradient reads the columns as one matrix
+    if tape is None or not weight.requires_grad:
+        step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
+    if step >= n:
+        # one GEMM call: running the loop below for a single block added
+        # about 3% to the gradcheck suite, whose thousands of small convs
+        # each fit one block
+        cols = _im2col(xd, kh, kw, s, ho, wo)
+        out_mat = wmat @ cols
+    else:
+        out_mat = np.empty((spec.out_channels, n * m), np.result_type(wmat, xd))
+        for i in range(0, n, step):
+            np.matmul(wmat, _im2col(xd[i:i + step], kh, kw, s, ho, wo),
+                      out=out_mat[:, i * m:(i + step) * m])
     if bias is not None:
         out_mat += bias.value.data[:, None]
     out_data = out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)

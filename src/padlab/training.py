@@ -172,13 +172,18 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
              batch_size: int = 128, _pre: np.ndarray | None = None) -> float:
     """Top-1 percentage; argmax ties resolve to the lowest class index.
 
-    Batches of 128 keep tinyvgg's first-conv im2col columns (19 MB at 32x32)
-    under glibc's 32 MB mmap threshold, so each batch reuses heap pages.
+    Batches of 128 bound the activations: a tinyvgg-pc batch at 32x32 peaks
+    at 14 MiB of allocations, its largest array the 4 MiB first-conv output.
+    The im2col columns no longer grow with the batch, because forward-only
+    convs build them in blocks of about 512 KiB (`nn._COL_BLOCK_BYTES`).
 
-    Raises NumericError on non-finite logits, which argmax would score as class 0.
+    Raises ConfigError on an empty dataset or a batch_size below 1, and
+    NumericError on non-finite logits, which argmax would score as class 0.
     """
     if len(images) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
+    if batch_size < 1:
+        raise ConfigError(f"evaluate needs batch_size >= 1, got {batch_size}")
     ds = as_dataset(images)
     data = _pre if _pre is not None else _eval_batch_array(ds, augment)
     correct = 0

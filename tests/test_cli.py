@@ -408,6 +408,15 @@ def test_compare_fixture_reproduces_p_values(tmp_path, capsys):
     assert (tmp_path / "cmp_stdevs.svg").exists()
 
 
+def test_compare_svg_without_out_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "compare", "--fixture", "--svg")
+    assert code == 1
+    assert "--svg needs --out" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_requires_two_runs_per_side(tmp_path, capsys):
     cfg_path, cfg = _config(tmp_path)
     run(capsys, "train", "--config", str(cfg_path), "--seed", "0")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -240,3 +241,19 @@ def test_zeros_build_loaded_from_checkpoint_matches_kaiming_build():
         assert a.value.data.tobytes() == b.value.data.tobytes(), name
     assert (kaiming.forward(batch, "eval").value.data.tobytes()
             == loaded.forward(batch, "eval").value.data.tobytes())
+
+
+def test_eval_forward_allocates_no_full_column_matrix():
+    # forward-only convs build im2col columns in blocks of about 512 KiB;
+    # one full matrix for the first conv at batch 128 would be 19 MB
+    model = build_model(ModelSpec("tinyvgg", pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0))
+    x = Variable(np.random.default_rng(0).random((128, 3, 32, 32), dtype=np.float32))
+    model.forward(x, "eval")
+    tracemalloc.start()
+    try:
+        model.forward(x, "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -13,7 +13,7 @@ from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
                        softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
-from padlab.nn import _im2col, _pad_frame
+from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
 from oracles import (accumulate_maxpool2d_backward, batchnorm2d_eval,
                      channel_stats, gemm_conv2d_dw, mean_adaptive_avgpool2d,
                      mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
@@ -563,6 +563,32 @@ def test_conv_same_bytes_in_either_layout(dtype, k, stride, bias):
         assert out_cm.transpose(1, 0, 2, 3).flags.c_contiguous
         for got, want in zip((out_cm, *grads_cm), (out, *grads)):
             _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype, size", [(np.float32, 32), (np.float64, 16)])
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+def test_conv_forward_only_blocks_give_the_full_matrix_bytes(dtype, size, k, stride,
+                                                             bias, layout):
+    c, cout, pad = 4, 8, k // 2
+    ho = (size + 2 * pad - k) // stride + 1
+    step = _COL_BLOCK_BYTES // (c * k * k * ho * ho * np.dtype(dtype).itemsize)
+    assert step >= 2
+    n = 3 * step - 1  # two full blocks of `step` images and a partial third
+    rng = np.random.default_rng(100 * k + stride)
+    x = rng.standard_normal((n, c, size, size)).astype(dtype)
+    if layout == "channel-major":
+        x = _channel_major(x)
+    w = rng.standard_normal((cout, c, k, k)).astype(dtype)
+    b = _var(rng.standard_normal(cout).astype(dtype)) if bias else None
+    spec = ConvSpec(c, cout, k, k, stride, pad, bias=bias)
+    full = conv2d(_var(x), _var(w, requires_grad=True), b, spec, Tape()).value.data
+    no_tape = conv2d(_var(x), _var(w), b, spec).value.data
+    frozen_w = conv2d(_var(x, requires_grad=True), _var(w), b, spec, Tape()).value.data
+    for got in (no_tape, frozen_w):
+        _same_bytes(got, full)
+        assert got.strides == full.strides
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -161,6 +161,14 @@ def test_evaluate_empty_dataset_rejected():
         evaluate(_FixedModel(np.zeros((1, 2))), [])
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    # -1 used to score an empty range as 0.0 top-1, 0 to raise range()'s ValueError
+    ds = _dataset([0, 1])
+    with pytest.raises(ConfigError, match="batch_size >= 1"):
+        evaluate(_FixedModel(np.eye(2, dtype=np.float32)), ds, batch_size=batch_size)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluate_rejects_non_finite_logits(bad):
     ds = _dataset([0, 1])
