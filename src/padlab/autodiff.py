@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GraphError, NumericError, ShapeError
+from .errors import ConfigError, GraphError, NumericError, ShapeError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _NP_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _ZERO = bytes(8)  # one f64-sized zero that every zero view reads
+
+
+def np_dtype(tag: str):
+    """The numpy dtype of a tag in DTYPES; any other tag is a ConfigError."""
+    if isinstance(tag, str) and tag in DTYPES:
+        return DTYPES[tag]
+    raise ConfigError(f"unknown dtype tag {tag!r}; valid tags are {', '.join(DTYPES)}")
 
 
 def zeros_view(shape, dtype) -> np.ndarray:
@@ -38,7 +45,7 @@ class Tensor:
             data = data.data
         arr = np.asarray(data)
         if dtype is not None:
-            arr = arr.astype(DTYPES[dtype], copy=False)
+            arr = arr.astype(np_dtype(dtype), copy=False)
         elif arr.dtype not in _NP_TO_TAG:
             arr = arr.astype(np.float64)
         if not 1 <= arr.ndim <= 4 or 0 in arr.shape:
@@ -58,7 +65,7 @@ class Tensor:
         return self.data.size
 
     def astype(self, dtype: str) -> "Tensor":
-        return Tensor(self.data.astype(DTYPES[dtype], copy=False))
+        return Tensor(self.data.astype(np_dtype(dtype), copy=False))
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -74,7 +81,7 @@ def fill(shape, value, dtype: str = "f32") -> Tensor:
         raise ShapeError("shape must be non-empty")
     if any(d < 1 for d in shape):
         raise ShapeError(f"all dims must be >= 1, got {shape}")
-    return Tensor(np.full(shape, value, dtype=DTYPES[dtype]))
+    return Tensor(np.full(shape, value, dtype=np_dtype(dtype)))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

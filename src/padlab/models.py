@@ -11,6 +11,7 @@ pad-channel model with any other padding mode is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,19 +222,12 @@ class BatchNorm2d(Module):
         return in_chw, [(prefix.rstrip("."), 2 * c, 2 * c * h * w)]
 
 
-def _numel(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
 class ReLU(Module):
     def forward(self, x, ctx):
         return relu(x, ctx.tape)
 
     def walk_cost(self, in_chw, prefix=""):
-        return in_chw, [(prefix.rstrip("."), 0, 2 * _numel(in_chw))]
+        return in_chw, [(prefix.rstrip("."), 0, 2 * math.prod(in_chw))]
 
 
 class MaxPool2d(Module):
@@ -282,10 +276,7 @@ class Flatten(Module):
         return flatten(x, ctx.tape)
 
     def walk_cost(self, in_chw, prefix=""):
-        n = 1
-        for d in in_chw:
-            n *= d
-        return (n,), []
+        return (math.prod(in_chw),), []
 
 
 class Dropout(Module):

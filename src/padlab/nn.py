@@ -10,12 +10,13 @@ under each padding mode is directly observable.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .autodiff import Tape, Tensor, Variable
+from .autodiff import Tape, Tensor, Variable, np_dtype
 from .errors import (DegenerateBatchError, GeometryError, InvalidLabelError,
                      InvalidPadError, ShapeError)
 from .rng import Rng
@@ -67,8 +68,9 @@ def _out_var(data, inputs):
         raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {data.shape}")
     value = Tensor.__new__(Tensor)  # op outputs are f32/f64 already; keep their order
     value.data = data
-    out = Variable(value)  # no .grad buffer: backward() only fills leaves
-    out.requires_grad = any(v.requires_grad for v in inputs)
+    out = Variable.__new__(Variable)  # no .grad buffer: backward() only fills leaves
+    out.value, out.grad, out.name = value, None, None
+    out.requires_grad = any([v.requires_grad for v in inputs])
     return out
 
 
@@ -80,6 +82,7 @@ def _record(tape, inputs, out, backward_fn):
 # ---------------------------------------------------------------------------
 # padding
 
+@functools.cache
 def _border_index(n: int, pad: int, mode: PaddingMode) -> np.ndarray:
     if mode is PaddingMode.REFLECT:
         left = list(range(pad, 0, -1))
@@ -87,7 +90,9 @@ def _border_index(n: int, pad: int, mode: PaddingMode) -> np.ndarray:
     else:
         left = [0] * pad
         right = [n - 1] * pad
-    return np.asarray(left + list(range(n)) + right)
+    idx = np.asarray(left + list(range(n)) + right)
+    idx.flags.writeable = False  # shared by every call with this (n, pad, mode)
+    return idx
 
 
 def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
@@ -100,7 +105,8 @@ def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
 def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
     """Constant-pad the two spatial axes in x's memory order: fill, copy x inside."""
     n, c, h, w = xd.shape
-    out = np.full_like(xd, value, shape=(n, c, h + 2 * pad, w + 2 * pad))
+    out = np.empty_like(xd, shape=(n, c, h + 2 * pad, w + 2 * pad))
+    out.fill(value)
     out[:, :, pad:pad + h, pad:pad + w] = xd
     return out
 
@@ -108,14 +114,14 @@ def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
 def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
           value: float = 0.0, tape: Tape | None = None) -> Variable:
     """Pad the two spatial axes of an (N, C, H, W) Variable by `pad` on each side."""
-    if len(x.shape) != 4:
-        raise ShapeError(f"pad2d expects rank 4, got {x.shape}")
+    xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"pad2d expects rank 4, got {xd.shape}")
     if pad < 0:
         raise InvalidPadError("pad must be non-negative")
     if pad == 0:
         return x
-    _, _, h, w = x.shape
-    xd = x.value.data
+    _, _, h, w = xd.shape
     if mode is PaddingMode.ZERO:
         out = _out_var(_pad_frame(xd, pad, value), (x,))
 
@@ -130,8 +136,7 @@ def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
             f"reflect pad {pad} needs pad < min spatial dim {min(h, w)}")
     ridx = _border_index(h, pad, mode)
     cidx = _border_index(w, pad, mode)
-    out_data = xd[:, :, ridx][:, :, :, cidx]
-    out = _out_var(out_data, (x,))
+    out = _out_var(xd.take(ridx, 2).take(cidx, 3), (x,))  # NCHW, as conv2d reads it
 
     def backward_border(g):
         folded = _fold_axis(g, ridx, axis=2, n=h)
@@ -149,11 +154,11 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
     keeps it 1 everywhere, which defeats the marker; model builders reject
     that combination.
     """
-    if len(x.shape) != 4:
-        raise ShapeError(f"attach_pad_channel expects rank 4, got {x.shape}")
-    n, c, h, w = x.shape
-    ones = np.ones((n, 1, h, w), dtype=x.value.data.dtype)
-    out = _out_var(np.concatenate([x.value.data, ones], axis=1), (x,))
+    xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
+    n, c, h, w = xd.shape
+    out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1), (x,))
 
     def backward_attach(g):
         return (g[:, :c],)
@@ -175,13 +180,22 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 _COL_BLOCK_BYTES = 512 * 1024
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int):
-    n, c = xd.shape[:2]
+def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
+            start: int = 0, count: int | None = None):
+    """Channel-major (C*kh*kw, count*ho*wo) columns of images start..start+count,
+    from a window on x's own buffer: x when NCHW, its (C, N, H, W) transpose
+    when channel-major. A block in any other layout is copied to C order first."""
+    count = len(xd) - start if count is None else count
+    buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
+    if not buf.flags.c_contiguous:
+        xd = buf = np.ascontiguousarray(xd[start:start + count])
+        start = 0
+    c = xd.shape[1]
     sn, sc, sh, sw = xd.strides
-    # channel-major (c*kh*kw, n*ho*wo): each copied row is a run of wo pixels
-    win = as_strided(xd, (c, kh, kw, n, ho, wo), (sc, sh, sw, sn, s * sh, s * sw),
-                     writeable=False)
-    return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
+    # each copied row is a run of wo pixels
+    win = np.ndarray((c, kh, kw, count, ho, wo), xd.dtype, buf, start * sn,
+                     (sc, sh, sw, sn, s * sh, s * sw))
+    return np.ascontiguousarray(win).reshape(c * kh * kw, count * ho * wo)
 
 
 def _col2im(dcols, xshape, kh, kw, s, ho, wo):
@@ -201,16 +215,18 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     Padding per spec.pad / spec.padding_mode is applied first as a separate
     pad2d op; the core here always runs on the already-padded tensor.
     """
-    if len(x.shape) != 4:
-        raise ShapeError(f"conv2d expects rank 4, got {x.shape}")
-    if x.shape[1] != spec.in_channels:
+    xd, wd = x.value.data, weight.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"conv2d expects rank 4, got {xd.shape}")
+    if xd.shape[1] != spec.in_channels:
         raise ShapeError(
-            f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    if weight.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
-        raise ShapeError(f"weight shape {weight.shape} does not match spec")
+            f"input has {xd.shape[1]} channels, spec expects {spec.in_channels}")
+    if wd.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
+        raise ShapeError(f"weight shape {wd.shape} does not match spec")
     if spec.pad:
         x = pad2d(x, spec.pad, spec.padding_mode, tape=tape)
-    n, c, h, w = x.shape
+        xd = x.value.data
+    n, c, h, w = xd.shape
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     ho = (h - kh) // s + 1
     wo = (w - kw) // s + 1
@@ -218,8 +234,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         raise GeometryError(
             f"conv output {ho}x{wo} < 1 for input {h}x{w}, kernel {kh}x{kw}, stride {s}")
 
-    xd = x.value.data
-    wmat = weight.value.data.reshape(spec.out_channels, -1)
+    wmat = wd.reshape(spec.out_channels, -1)
     m = ho * wo
     step = n  # the weight gradient reads the columns as one matrix
     if tape is None or not weight.requires_grad:
@@ -233,7 +248,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     else:
         out_mat = np.empty((spec.out_channels, n * m), np.result_type(wmat, xd))
         for i in range(0, n, step):
-            np.matmul(wmat, _im2col(xd[i:i + step], kh, kw, s, ho, wo),
+            np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, min(step, n - i)),
                       out=out_mat[:, i * m:(i + step) * m])
     if bias is not None:
         out_mat += bias.value.data[:, None]
@@ -249,7 +264,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         if weight.requires_grad:
             # the same product as gmat @ cols.T, but this operand order runs
             # about twice as fast in OpenBLAS and gives the same bytes
-            dw = (cols @ gmat.T).T.reshape(weight.shape)
+            dw = (cols @ gmat.T).T.reshape(wd.shape)
         if bias is not None and bias.requires_grad:
             db = gmat.sum(axis=1)  # contiguous rows: the same bytes in any layout of g
         return (dx, dw) if bias is None else (dx, dw, db)
@@ -279,13 +294,12 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     Steps write into arrays this op owns, in the order of the plain
     expressions, so the bytes are theirs with fewer full-size temporaries.
     """
-    if len(x.shape) != 4:
-        raise ShapeError(f"batchnorm2d expects rank 4, got {x.shape}")
-    if x.shape[1] != spec.num_features:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, spec expects {spec.num_features}")
     xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"batchnorm2d expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
+    if c != spec.num_features:
+        raise ShapeError(f"input has {c} channels, spec expects {spec.num_features}")
     gd = gamma.value.data
     inputs = (x, gamma, beta)
 
@@ -300,14 +314,14 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         inv = 1.0 / np.sqrt(var + spec.eps)
         mom = spec.momentum
         state.running_mean = ((1 - mom) * state.running_mean + mom * mu).astype(
-            state.running_mean.dtype)
+            state.running_mean.dtype, copy=False)  # a fresh array already
         unbiased = var * (m / (m - 1))
         state.running_var = ((1 - mom) * state.running_var + mom * unbiased).astype(
-            state.running_var.dtype)
+            state.running_var.dtype, copy=False)
     else:
         inv = 1.0 / np.sqrt(state.running_var + spec.eps)
         xhat = xd - state.running_mean[None, :, None, None]
-        out = np.empty_like(xhat)
+        out = xhat if tape is None else np.empty_like(xhat)  # backward reads xhat
     inv4, gd4 = inv[None, :, None, None], gd[None, :, None, None]
     xhat *= inv4
     np.multiply(xhat, gd4, out=out)
@@ -344,53 +358,51 @@ def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> Tensor:
     shape = tuple(int(d) for d in shape)
     if len(shape) < 2 or any(d < 1 for d in shape):
         raise ShapeError(f"bad weight shape {shape}")
-    fan_in = 1
-    for d in shape[1:]:
-        fan_in *= d
-    std = float(np.sqrt(2.0 / fan_in))
-    return Tensor(rng.normal(shape, std=std,
-                             dtype=np.float32 if dtype == "f32" else np.float64))
+    std = float(np.sqrt(2.0 / math.prod(shape[1:])))
+    return Tensor(rng.normal(shape, std=std, dtype=np_dtype(dtype)))
 
 
 # ---------------------------------------------------------------------------
 # pointwise and reduction layers
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
-    out = _out_var(np.maximum(x.value.data, 0), (x,))
-    _record(tape, (x,), out, lambda g: (g * (x.value.data > 0),))
+    xd = x.value.data
+    out = _out_var(np.maximum(xd, 0), (x,))
+    _record(tape, (x,), out, lambda g: (g * (xd > 0),))
     return out
 
 
 def add(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = _out_var(a.value.data + b.value.data, (a, b))
+    ad, bd = a.value.data, b.value.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
+    out = _out_var(ad + bd, (a, b))
     _record(tape, (a, b), out, lambda g: (g, g))
     return out
 
 
 def mul(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = _out_var(a.value.data * b.value.data, (a, b))
     ad, bd = a.value.data, b.value.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"mul shape mismatch: {ad.shape} vs {bd.shape}")
+    out = _out_var(ad * bd, (a, b))
     _record(tape, (a, b), out, lambda g: (g * bd, g * ad))
     return out
 
 
 def sum_all(x: Variable, tape: Tape | None = None) -> Variable:
-    out = _out_var(x.value.data.sum().reshape(1), (x,))
-    shape, dtype = x.value.data.shape, x.value.data.dtype
+    xd = x.value.data
+    out = _out_var(xd.sum().reshape(1), (x,))
     _record(tape, (x,), out,
-            lambda g: (np.full(shape, g.reshape(()), dtype=dtype),))
+            lambda g: (np.full(xd.shape, g.reshape(()), dtype=xd.dtype),))
     return out
 
 
 def mean_all(x: Variable, tape: Tape | None = None) -> Variable:
-    out = _out_var(x.value.data.mean().reshape(1), (x,))
-    shape, dtype, size = x.value.data.shape, x.value.data.dtype, x.value.data.size
+    xd = x.value.data
+    out = _out_var(xd.mean().reshape(1), (x,))
     _record(tape, (x,), out,
-            lambda g: (np.full(shape, g.reshape(()) / size, dtype=dtype),))
+            lambda g: (np.full(xd.shape, g.reshape(()) / xd.size, dtype=xd.dtype),))
     return out
 
 
@@ -409,10 +421,15 @@ def flatten(x: Variable, tape: Tape | None = None) -> Variable:
 
 def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
               tape: Tape | None = None) -> Variable:
-    """Max over kernel x kernel windows; padded cells never win, ties go to the first."""
-    if len(x.shape) != 4:
-        raise ShapeError(f"maxpool2d expects rank 4, got {x.shape}")
+    """Max over kernel x kernel windows; padded cells never win, ties go to the first.
+    pad is at most kernel // 2, so every window holds a real cell."""
     xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"maxpool2d expects rank 4, got {xd.shape}")
+    if kernel < 1 or stride < 1:
+        raise ShapeError(f"pool kernel and stride must be >= 1, got {kernel} and {stride}")
+    if not 0 <= pad <= kernel // 2:
+        raise InvalidPadError(f"pool pad must lie in [0, {kernel // 2}], got {pad}")
     if pad:
         xd = _pad_frame(xd, pad, -np.inf)
     _, _, h, w = xd.shape
@@ -454,10 +471,10 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
 
 def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
     """Mean over the spatial axes: (N, C, H, W) -> (N, C)."""
-    if len(x.shape) != 4:
-        raise ShapeError(f"global_avgpool expects rank 4, got {x.shape}")
-    _, _, h, w = x.shape
     xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"global_avgpool expects rank 4, got {xd.shape}")
+    _, _, h, w = xd.shape
     out = _out_var(xd.sum(axis=(2, 3)) / (h * w), (x,))
     _record(tape, (x,), out, lambda g: (np.divide(  # dx in x's memory order
         g[:, :, None, None], h * w, out=np.empty_like(xd, dtype=g.dtype)),))
@@ -467,14 +484,12 @@ def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
 def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
                        tape: Tape | None = None) -> Variable:
     """Average pooling to a fixed output size using proportional bins."""
-    if len(x.shape) != 4:
-        raise ShapeError(f"adaptive_avgpool2d expects rank 4, got {x.shape}")
-    n, c, h, w = x.shape
-    hb = [(int(np.floor(i * h / out_h)), int(np.ceil((i + 1) * h / out_h)))
-          for i in range(out_h)]
-    wb = [(int(np.floor(j * w / out_w)), int(np.ceil((j + 1) * w / out_w)))
-          for j in range(out_w)]
     xd = x.value.data
+    if xd.ndim != 4:
+        raise ShapeError(f"adaptive_avgpool2d expects rank 4, got {xd.shape}")
+    n, c, h, w = xd.shape
+    hb = [(i * h // out_h, -(-(i + 1) * h // out_h)) for i in range(out_h)]
+    wb = [(j * w // out_w, -(-(j + 1) * w // out_w)) for j in range(out_w)]
     out_data = np.empty((n, c, out_h, out_w), dtype=xd.dtype)
     for i, (h0, h1) in enumerate(hb):
         for j, (w0, w1) in enumerate(wb):
@@ -497,14 +512,14 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
 def linear(x: Variable, weight: Variable, bias: Variable | None,
            tape: Tape | None = None) -> Variable:
     """x (N, F) @ weight (O, F)^T + bias."""
-    if len(x.shape) != 2 or len(weight.shape) != 2 or x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"linear shapes incompatible: {x.shape} vs {weight.shape}")
-    out_mat = x.value.data @ weight.value.data.T
+    xd, wd = x.value.data, weight.value.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"linear shapes incompatible: {xd.shape} vs {wd.shape}")
+    out_mat = xd @ wd.T
     if bias is not None:
         out_mat = out_mat + bias.value.data
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _out_var(out_mat, inputs)
-    xd, wd = x.value.data, weight.value.data
 
     def backward_linear(g):
         dx = g @ wd if x.requires_grad else None
@@ -527,9 +542,10 @@ def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
         return x
     if rng is None:
         raise ShapeError("train-mode dropout needs an Rng")
-    keep = rng.uniform(x.shape, dtype=np.float64) >= p
-    mask = keep.astype(x.value.data.dtype) / (1.0 - p)
-    out = _out_var(x.value.data * mask, (x,))
+    xd = x.value.data
+    keep = rng.uniform(xd.shape, dtype=np.float64) >= p
+    mask = keep.astype(xd.dtype) / (1.0 - p)
+    out = _out_var(xd * mask, (x,))
     _record(tape, (x,), out, lambda g: (g * mask,))
     return out
 
@@ -548,21 +564,22 @@ def softmax(x: Variable, tape: Tape | None = None) -> Variable:
 def softmax_cross_entropy(logits: Variable, labels: np.ndarray,
                           tape: Tape | None = None) -> Variable:
     """Mean over the batch of -log softmax(logits)[label]; returns shape (1,)."""
-    if len(logits.shape) != 2:
-        raise ShapeError(f"logits must be (N, K), got {logits.shape}")
+    ld = logits.value.data
+    if ld.ndim != 2:
+        raise ShapeError(f"logits must be (N, K), got {ld.shape}")
     labels = np.asarray(labels)
-    n, k = logits.shape
+    n, k = ld.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels must be ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidLabelError(
             f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
-    z = logits.value.data - logits.value.data.max(axis=1, keepdims=True)
+    z = ld - ld.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
     rows = np.arange(n)
     loss = -logp[rows, labels].mean()
-    out = _out_var(np.asarray([loss], dtype=logits.value.data.dtype), (logits,))
+    out = _out_var(np.asarray([loss], dtype=ld.dtype), (logits,))
 
     def backward_ce(g):
         grad = np.exp(logp)

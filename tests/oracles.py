@@ -8,12 +8,13 @@ maxpool2d's chain of strided tap views.
 
 The references at the end are the forms the ops replaced with cheaper ones:
 numpy library forms (np.pad, sliding_window_view, np.mean), conv2d's
-`gmat @ cols.T` weight gradient, batchnorm2d with fresh temporaries, and the
-accumulate-only maxpool2d backward. The replacements must give the same bytes.
+`as_strided` im2col window and `gmat @ cols.T` weight gradient, batchnorm2d
+with fresh temporaries, and the accumulate-only maxpool2d backward. The
+replacements must give the same bytes.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 def naive_pad2d(x, pad, mode, value=0.0):
@@ -172,6 +173,16 @@ def sliding_window_im2col(x, kh, kw, stride):
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
     return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+def as_strided_im2col(x, kh, kw, stride, ho, wo):
+    """Channel-major (C*kh*kw, N*Ho*Wo) columns through an `as_strided` window
+    on x's own strides, whatever its memory layout."""
+    n, c = x.shape[:2]
+    sn, sc, sh, sw = x.strides
+    win = as_strided(x, (c, kh, kw, n, ho, wo),
+                     (sc, sh, sw, sn, stride * sh, stride * sw), writeable=False)
+    return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
 
 
 def mean_batchnorm2d_train(x, gamma, beta, g, eps):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from padlab.autodiff import (Tape, Tensor, Variable, backward, concat_channels,
                              fill, grad_check)
-from padlab.errors import GraphError, ShapeError
+from padlab.errors import ConfigError, GraphError, ShapeError
 from padlab.nn import add, mul, relu, sum_all
 from padlab.rng import Rng
 
@@ -22,6 +22,17 @@ def test_fill_zeros():
     t = fill([2, 3, 4, 4], 0.0)
     assert t.size == 96
     assert not t.data.any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda tag: Tensor(np.zeros((2, 2)), dtype=tag),
+    lambda tag: Tensor(np.zeros((2, 2))).astype(tag),
+    lambda tag: fill([2, 2], 1.0, dtype=tag),
+], ids=["Tensor", "astype", "fill"])
+@pytest.mark.parametrize("tag", ["f16", "float32", ["f32"]])
+def test_unknown_dtype_tag_is_a_config_error_naming_the_valid_tags(make, tag):
+    with pytest.raises(ConfigError, match="valid tags are f32, f64"):
+        make(tag)
 
 
 def test_fill_scalar():

@@ -244,8 +244,9 @@ def test_zeros_build_loaded_from_checkpoint_matches_kaiming_build():
 
 
 def test_eval_forward_allocates_no_full_column_matrix():
-    # forward-only convs build im2col columns in blocks of about 512 KiB;
-    # one full matrix for the first conv at batch 128 would be 19 MB
+    # forward-only convs build im2col columns in blocks of about 512 KiB, and
+    # eval batchnorm without a tape writes its output over its own xhat; one
+    # full matrix for the first conv at batch 128 would be 19 MB
     model = build_model(ModelSpec("tinyvgg", pad_channel=True, num_classes=2,
                                   input_size=32), Rng(0))
     x = Variable(np.random.default_rng(0).random((128, 3, 32, 32), dtype=np.float32))
@@ -256,4 +257,4 @@ def test_eval_forward_allocates_no_full_column_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 12 * 2**20

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padlab.autodiff import Tape, Tensor, Variable, backward
-from padlab.errors import (DegenerateBatchError, GeometryError,
+from padlab.errors import (ConfigError, DegenerateBatchError, GeometryError,
                            InvalidLabelError, InvalidPadError, ShapeError)
 from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
                        adaptive_avgpool2d, attach_pad_channel, batchnorm2d,
@@ -14,8 +14,9 @@ from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
 from padlab.rng import Rng
 
 from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
-from oracles import (accumulate_maxpool2d_backward, batchnorm2d_eval,
-                     channel_stats, gemm_conv2d_dw, mean_adaptive_avgpool2d,
+from oracles import (accumulate_maxpool2d_backward, as_strided_im2col,
+                     batchnorm2d_eval, channel_stats, gemm_conv2d_dw,
+                     mean_adaptive_avgpool2d,
                      mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
                      naive_conv2d_backward, naive_maxpool2d,
                      naive_maxpool2d_backward, naive_pad2d, np_pad_constant,
@@ -272,6 +273,11 @@ def test_kaiming_deterministic():
     assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_kaiming_rejects_unknown_dtype_tag():
+    with pytest.raises(ConfigError, match="f32, f64"):
+        kaiming_init((8, 3, 3, 3), Rng(42), dtype="f16")
+
+
 # ---------------------------------------------------------------------------
 # pools, linear, dropout, softmax
 
@@ -320,6 +326,18 @@ def test_maxpool_overlapping_backward_matches_oracle(k, s, pad):
     (dx,) = _vjp(lambda v, tape: maxpool2d(v, k, s, pad, tape=tape), [x], g)
     np.testing.assert_allclose(dx, naive_maxpool2d_backward(x, g, k, s, pad),
                                rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("kernel, stride, pad, error", [
+    (0, 1, 0, ShapeError), (2, 0, 0, ShapeError), (-1, 2, 0, ShapeError),
+    (2, 2, -1, InvalidPadError), (2, 2, 2, InvalidPadError), (3, 2, 2, InvalidPadError),
+    (1, 1, 1, InvalidPadError),
+])
+def test_maxpool_rejects_bad_arguments(kernel, stride, pad, error):
+    # pad > kernel // 2 would leave windows of padding only, which yield -inf
+    x = _var(Rng(3).uniform((1, 2, 4, 4)))
+    with pytest.raises(error):
+        maxpool2d(x, kernel, stride, pad)
 
 
 def test_global_avgpool():
@@ -424,6 +442,29 @@ def test_im2col_matches_sliding_window_form(dtype, kh, kw, stride):
     _same_bytes(_im2col(x, kh, kw, stride, ho, wo), sliding_window_im2col(x, kh, kw, stride))
 
 
+def _strided_view(a):
+    """The same (N, C, H, W) values in neither NCHW nor channel-major memory:
+    every other column of a wider array, with the rows reversed."""
+    n, c, h, w = a.shape
+    wide = np.zeros((n, c, h, 2 * w), a.dtype)
+    wide[:, :, ::-1, ::2] = a
+    return wide[:, :, ::-1, ::2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("layout", ["nchw", "channel-major", "strided"])
+def test_im2col_matches_as_strided_form(dtype, k, stride, layout):
+    x = np.random.default_rng(10 * k + stride).standard_normal((7, 3, 9, 8)).astype(dtype)
+    x = {"nchw": x, "channel-major": _channel_major(x), "strided": _strided_view(x)}[layout]
+    ho, wo = (9 - k) // stride + 1, (8 - k) // stride + 1
+    _same_bytes(_im2col(x, k, k, stride, ho, wo), as_strided_im2col(x, k, k, stride, ho, wo))
+    for start, count in ((0, 3), (3, 3), (6, 1), (2, 5)):  # (6, 1): a partial last block
+        _same_bytes(_im2col(x, k, k, stride, ho, wo, start, count),
+                    as_strided_im2col(x[start:start + count], k, k, stride, ho, wo))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bn_train_forward_backward_match_np_mean(dtype):
     for rng, shape, scale in _random_shapes(1, 60):
@@ -503,6 +544,9 @@ def test_bn_eval_forward_backward_match_fresh_temporaries(dtype):
                                g, spec.eps)
         for got, want in zip((out, *grads), ref):
             _same_bytes(got, want)
+        # without a tape the output is written over the op's own xhat buffer
+        _same_bytes(batchnorm2d(_var(x), _var(gamma), _var(beta), state, spec,
+                                "eval").value.data, ref[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -518,6 +562,16 @@ def test_maxpool_backward_matches_accumulate_form(dtype, k, s, pad, size):
     g = _signed_zero_grad(rng, (3, 4, ho, ho), dtype)
     _, (dx,) = _op_backward(lambda v, tape: maxpool2d(v, k, s, pad, tape=tape), [x], g)
     _same_bytes(dx, accumulate_maxpool2d_backward(x, g, k, s, pad))
+
+
+def test_adaptive_bin_edges_are_the_float_floor_and_ceil():
+    # the integer edges i*h//out and -(-(i+1)*h//out) that adaptive_avgpool2d
+    # uses, against floor(i*h/out) and ceil((i+1)*h/out) of floats
+    h = np.arange(1, 600)[:, None, None]
+    out = np.arange(1, 80)[None, :, None]
+    i = np.arange(0, 80)[None, None, :]
+    assert np.array_equal(i * h // out, np.floor(i * h / out))
+    assert np.array_equal(-(-(i + 1) * h // out), np.ceil((i + 1) * h / out))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
