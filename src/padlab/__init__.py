@@ -8,8 +8,7 @@ flag; exact integer parameter/MAC accounting; seeded SGD training runs with
 best-checkpoint selection; and pooled one-sided t statistics over run groups.
 """
 
-from .autodiff import (Tape, Tensor, Variable, backward, concat_channels,
-                       fill, grad_check)
+from .autodiff import Tape, Tensor, Variable, backward, fill, grad_check
 from .cost import CostReport, cost_table, count_macs, count_params
 from .data import (AugmentConfig, Dataset, EvalAugment, LabeledImage,
                    TrainAugment, augment_eval, augment_train, gen_border_task,

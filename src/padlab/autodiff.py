@@ -84,19 +84,6 @@ def fill(shape, value, dtype: str = "f32") -> Tensor:
     return Tensor(np.full(shape, value, dtype=np_dtype(dtype)))
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two (N, C, H, W) tensors along the channel axis, a first."""
-    if len(a.shape) != 4 or len(b.shape) != 4:
-        raise ShapeError("concat_channels expects rank-4 tensors")
-    if a.dtype != b.dtype:
-        raise ShapeError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    an, _, ah, aw = a.shape
-    bn, _, bh, bw = b.shape
-    if (an, ah, aw) != (bn, bh, bw):
-        raise ShapeError(f"N/H/W mismatch: {a.shape} vs {b.shape}")
-    return Tensor(np.concatenate([a.data, b.data], axis=1))
-
-
 class Variable:
     """A Tensor plus an accumulated gradient of identical shape."""
 

@@ -311,102 +311,53 @@ class Linear(Module):
         return (o,), [(prefix.rstrip("."), self.weight.value.size + o, f * o + o)]
 
 
-class BasicBlock(Module):
-    """Two 3x3 convs with an identity or 1x1-projection shortcut."""
+class Residual(Module):
+    """A main path of conv -> bn -> ReLU triples, one per (out_channels,
+    kernel, stride) in `convs`, with an identity or 1x1-projection shortcut
+    added before the last ReLU. forward and walk_cost both visit the main
+    path, then downsample, then that ReLU; the children stay in the order
+    main path, downsample, which fixes parameter and checkpoint order."""
 
-    def __init__(self, in_ch: int, out_ch: int, stride: int,
-                 padding_mode: PaddingMode, rng: Rng, init: str = "kaiming"):
+    def __init__(self, in_ch: int, convs, padding_mode: PaddingMode, rng: Rng,
+                 init: str = "kaiming"):
         super().__init__()
-        self.add_child("conv1", Conv2d(ConvSpec(in_ch, out_ch, 3, 3, stride, 1,
-                                                padding_mode, bias=False),
-                                       rng.child("conv1"), init))
-        self.add_child("bn1", BatchNorm2d(out_ch))
-        self.add_child("relu1", ReLU())
-        self.add_child("conv2", Conv2d(ConvSpec(out_ch, out_ch, 3, 3, 1, 1,
-                                                padding_mode, bias=False),
-                                       rng.child("conv2"), init))
-        self.add_child("bn2", BatchNorm2d(out_ch))
-        self.add_child("relu2", ReLU())
-        if stride != 1 or in_ch != out_ch:
+        ch = in_ch
+        for i, (out_ch, k, s) in enumerate(convs, start=1):
+            self.add_child(f"conv{i}", Conv2d(ConvSpec(ch, out_ch, k, k, s, k // 2,
+                                                       padding_mode, bias=False),
+                                              rng.child(f"conv{i}"), init))
+            self.add_child(f"bn{i}", BatchNorm2d(out_ch))
+            self.add_child(f"relu{i}", ReLU())
+            ch = out_ch
+        self.out_channels, self.main = ch, list(self._children.items())
+        stride = math.prod(s for *_, s in convs)
+        if stride != 1 or in_ch != ch:
             self.add_child("downsample", Sequential([
-                ("conv", Conv2d(ConvSpec(in_ch, out_ch, 1, 1, stride, 0,
+                ("conv", Conv2d(ConvSpec(in_ch, ch, 1, 1, stride, 0,
                                          padding_mode, bias=False),
                                 rng.child("downsample"), init)),
-                ("bn", BatchNorm2d(out_ch)),
+                ("bn", BatchNorm2d(ch)),
             ]))
 
     def forward(self, x, ctx):
+        out = x
+        for _, layer in self.main[:-1]:
+            out = layer.forward(out, ctx)
         c = self._children
-        out = c["relu1"].forward(c["bn1"].forward(c["conv1"].forward(x, ctx), ctx), ctx)
-        out = c["bn2"].forward(c["conv2"].forward(out, ctx), ctx)
         shortcut = c["downsample"].forward(x, ctx) if "downsample" in c else x
-        return c["relu2"].forward(add(out, shortcut, ctx.tape), ctx)
+        return self.main[-1][1].forward(add(out, shortcut, ctx.tape), ctx)
 
     def walk_cost(self, in_chw, prefix=""):
-        c = self._children
-        rows = []
-        shape = in_chw
-        for name in ("conv1", "bn1", "relu1", "conv2", "bn2"):
-            shape, sub = c[name].walk_cost(shape, f"{prefix}{name}.")
+        rows, shape = [], in_chw
+        for name, layer in self.main[:-1]:
+            shape, sub = layer.walk_cost(shape, f"{prefix}{name}.")
             rows.extend(sub)
-        if "downsample" in c:
-            _, sub = c["downsample"].walk_cost(in_chw, f"{prefix}downsample.")
-            rows.extend(sub)
-        shape, sub = c["relu2"].walk_cost(shape, f"{prefix}relu2.")
-        rows.extend(sub)
-        return shape, rows
-
-
-class Bottleneck(Module):
-    """1x1 reduce, 3x3 (stride here), 1x1 expand, projection shortcut."""
-
-    def __init__(self, in_ch: int, mid_ch: int, out_ch: int, stride: int,
-                 padding_mode: PaddingMode, rng: Rng, init: str = "kaiming"):
-        super().__init__()
-        self.add_child("conv1", Conv2d(ConvSpec(in_ch, mid_ch, 1, 1, 1, 0,
-                                                padding_mode, bias=False),
-                                       rng.child("conv1"), init))
-        self.add_child("bn1", BatchNorm2d(mid_ch))
-        self.add_child("relu1", ReLU())
-        self.add_child("conv2", Conv2d(ConvSpec(mid_ch, mid_ch, 3, 3, stride, 1,
-                                                padding_mode, bias=False),
-                                       rng.child("conv2"), init))
-        self.add_child("bn2", BatchNorm2d(mid_ch))
-        self.add_child("relu2", ReLU())
-        self.add_child("conv3", Conv2d(ConvSpec(mid_ch, out_ch, 1, 1, 1, 0,
-                                                padding_mode, bias=False),
-                                       rng.child("conv3"), init))
-        self.add_child("bn3", BatchNorm2d(out_ch))
-        self.add_child("relu3", ReLU())
-        if stride != 1 or in_ch != out_ch:
-            self.add_child("downsample", Sequential([
-                ("conv", Conv2d(ConvSpec(in_ch, out_ch, 1, 1, stride, 0,
-                                         padding_mode, bias=False),
-                                rng.child("downsample"), init)),
-                ("bn", BatchNorm2d(out_ch)),
-            ]))
-
-    def forward(self, x, ctx):
-        c = self._children
-        out = c["relu1"].forward(c["bn1"].forward(c["conv1"].forward(x, ctx), ctx), ctx)
-        out = c["relu2"].forward(c["bn2"].forward(c["conv2"].forward(out, ctx), ctx), ctx)
-        out = c["bn3"].forward(c["conv3"].forward(out, ctx), ctx)
-        shortcut = c["downsample"].forward(x, ctx) if "downsample" in c else x
-        return c["relu3"].forward(add(out, shortcut, ctx.tape), ctx)
-
-    def walk_cost(self, in_chw, prefix=""):
-        c = self._children
-        rows = []
-        shape = in_chw
-        for name in ("conv1", "bn1", "relu1", "conv2", "bn2", "relu2", "conv3", "bn3"):
-            shape, sub = c[name].walk_cost(shape, f"{prefix}{name}.")
-            rows.extend(sub)
-        if "downsample" in c:
-            _, sub = c["downsample"].walk_cost(in_chw, f"{prefix}downsample.")
-            rows.extend(sub)
-        shape, sub = c["relu3"].walk_cost(shape, f"{prefix}relu3.")
-        rows.extend(sub)
-        return shape, rows
+        if "downsample" in self._children:
+            rows.extend(self._children["downsample"].walk_cost(
+                in_chw, f"{prefix}downsample.")[1])
+        name, last = self.main[-1]
+        shape, sub = last.walk_cost(shape, f"{prefix}{name}.")
+        return shape, rows + sub
 
 
 class Model(Module):
@@ -507,13 +458,10 @@ def _build_resnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
         for b in range(1, n_blocks + 1):
             stride = 2 if (stage > 1 and b == 1) else 1
             brng = rng.child(f"layer{stage}.block{b}")
-            if kind == "basic":
-                block = BasicBlock(ch, width, stride, pm, brng, init)
-                ch = width
-            else:
-                block = Bottleneck(ch, width, width * expansion, stride, pm,
-                                   brng, init)
-                ch = width * expansion
+            convs = ([(width, 3, stride), (width, 3, 1)] if kind == "basic" else
+                     [(width, 1, 1), (width, 3, stride), (width * expansion, 1, 1)])
+            block = Residual(ch, convs, pm, brng, init)
+            ch = block.out_channels
             stage_layers.append((f"block{b}", block))
         model.add_child(f"layer{stage}", Sequential(stage_layers))
     model.add_child("gap", GlobalAvgPool())
@@ -532,10 +480,9 @@ def _build_tinyresnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
         ("bn", BatchNorm2d(8)),
         ("relu", ReLU()),
     ]))
-    model.add_child("layer1", Sequential(
-        [("block1", BasicBlock(8, 16, 2, pm, rng.child("layer1.block1"), init))]))
-    model.add_child("layer2", Sequential(
-        [("block1", BasicBlock(16, 32, 2, pm, rng.child("layer2.block1"), init))]))
+    for i, (ch, width) in enumerate(((8, 16), (16, 32)), start=1):
+        model.add_child(f"layer{i}", Sequential([("block1", Residual(
+            ch, [(width, 3, 2), (width, 3, 1)], pm, rng.child(f"layer{i}.block1"), init))]))
     model.add_child("gap", GlobalAvgPool())
     model.add_child("fc", Linear(32, spec.num_classes, rng.child("fc"), init))
     return model

@@ -208,6 +208,37 @@ def _col2im(dcols, xshape, kh, kw, s, ho, wo):
     return dx.transpose(1, 0, 2, 3)
 
 
+def _col2im_rows(wmat, gmat, xshape, kh, kw, ho, wo):
+    """_col2im's bytes for stride 1, with whole rows of width w per tap.
+
+    gmat's rows are zero-padded from wo to w before the GEMM, so in a flat
+    (C, N, H*W) buffer (plus kw - 1 cells of tail) each tap adds one run of
+    ho*w per (c, n), not ho runs of wo. With finite weights the padded
+    columns are exact +-0, and a sum that starts at +0 never holds -0, so
+    adding them changes nothing: each dx cell sums the same terms in the
+    same tap order. The GEMM runs a few images at a time, as the forward's.
+    """
+    n, c, h, w = xshape
+    cout, size, b = len(gmat), c * n * h * w, gmat.itemsize
+    gw = gmat.reshape(cout, n, ho * wo)
+    if w != wo:
+        gw = np.zeros((cout, n, ho * w), gmat.dtype)
+        gw.reshape(cout, n * ho, w)[:, :, :wo] = gmat.reshape(cout, n * ho, wo)
+    step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * ho * w * b))
+    dbuf = np.empty((wmat.shape[1], min(step, n) * ho * w), gmat.dtype)
+    flat = np.zeros(size + kw - 1, gmat.dtype)
+    for s0 in range(0, n, step):
+        nb = min(step, n - s0)
+        d5 = np.matmul(wmat.T, gw[:, s0:s0 + nb].reshape(cout, -1),
+                       out=dbuf[:, :nb * ho * w]).reshape(c, kh, kw, nb, ho * w)
+        for i in range(kh):
+            for j in range(kw):
+                run = np.ndarray((c, nb, ho * w), flat.dtype, flat,
+                                 (s0 * h * w + i * w + j) * b, (n * h * w * b, h * w * b, b))
+                run += d5[:, i, j]
+    return flat[:size].reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+
 def conv2d(x: Variable, weight: Variable, bias: Variable | None,
            spec: ConvSpec, tape: Tape | None = None) -> Variable:
     """Cross-correlation of x with `weight` (C_out, C_in, k_h, k_w).
@@ -259,7 +290,13 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     def backward_conv(g):
         gmat = g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
         dx = dw = db = None
-        if x.requires_grad:
+        # f32 only: the widened GEMM keeps each column's bytes where OpenBLAS's
+        # bytes for a column do not depend on its place in the product, as the
+        # thread-count test needs; measured false for f64, gemv and f32 x f64.
+        if x.requires_grad and s == 1 and wmat.dtype == gmat.dtype == np.float32 \
+                and n * m > 1 and np.isfinite(wmat).all():
+            dx = _col2im_rows(wmat, gmat, (n, c, h, w), kh, kw, ho, wo)
+        elif x.requires_grad:
             dx = _col2im(wmat.T @ gmat, (n, c, h, w), kh, kw, s, ho, wo)
         if weight.requires_grad:
             # the same product as gmat @ cols.T, but this operand order runs
@@ -437,6 +474,44 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
     wo = (w - kernel) // stride + 1
     if ho < 1 or wo < 1:
         raise GeometryError(f"pool output {ho}x{wo} < 1")
+    buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
+    if kernel == stride == 2 and not pad and h % 2 == w % 2 == 0 and buf.flags.c_contiguous:
+        # Whole-row passes over x's C-contiguous buffer (NCHW or (C, N, H, W)):
+        # the max of its even and odd cells pairs each cell with its right
+        # neighbour, and the max of each pair row and the one below is the
+        # output. np.maximum is exact and passes on its first NaN, so
+        # (t00 v t01) v (t10 v t11) has the bytes of the tap chain
+        # ((t00 v t01) v t10) v t11; the first tap equal to the max is the
+        # top pair's if top >= bottom, then its left cell if l >= r.
+        cm, shape = buf is not xd, buf.shape[:2] + (ho, wo)
+        flat = buf.reshape(-1)
+        left, right = flat[0::2], flat[1::2]
+        pairs = np.maximum(left, right).reshape(-1, 2, wo)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        out_buf = np.maximum(top, bottom).reshape(shape)
+        out = _out_var(out_buf.transpose(1, 0, 2, 3) if cm else out_buf, (x,))
+        if tape is None or not out.requires_grad:
+            return out
+        # the two masks wait for backward as bits, an eighth of their bool bytes
+        left_bits, top_bits = np.packbits(left >= right), np.packbits(top >= bottom)
+
+        def backward_rows(g):
+            left_wins = np.unpackbits(left_bits, count=buf.size // 2).view(bool)
+            top_wins = np.unpackbits(top_bits, count=out_buf.size).view(bool).reshape(shape)
+            g = g.transpose(1, 0, 2, 3) if cm else g
+            hit = out_buf == out_buf  # NaN windows get no hit, as in the tap chain
+            gpair = np.empty(shape[:3] + (2, wo), g.dtype)
+            np.multiply(g, hit & top_wins, out=gpair[:, :, :, 0])
+            np.multiply(g, hit & ~top_wins, out=gpair[:, :, :, 1])
+            dx = np.empty(buf.shape, g.dtype)
+            dflat, gflat = dx.reshape(-1), gpair.reshape(-1)
+            np.multiply(gflat, left_wins, out=dflat[0::2])
+            np.multiply(gflat, ~left_wins, out=dflat[1::2])
+            dflat += 0.0  # as 0 + g * hit does: -0.0 becomes +0.0
+            return (dx.transpose(1, 0, 2, 3) if cm else dx,)
+
+        _record(tape, (x,), out, backward_rows)
+        return out
     taps = [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
             for i in range(kernel) for j in range(kernel)]
     out_data = xd[taps[0]].copy(order="K")
@@ -444,23 +519,15 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         np.maximum(out_data, xd[tap], out=out_data)
     out = _out_var(out_data, (x,))
 
-    # windows that tile the map exactly write each cell once
-    tiled = stride == kernel and h == stride * ho and w == stride * wo
-
     def backward_pool(g):
-        dxp = (np.empty_like if tiled else np.zeros_like)(xd, dtype=g.dtype)
+        dxp = np.zeros_like(xd, dtype=g.dtype)
         free = np.ones_like(out_data, dtype=bool)
         hit = np.empty_like(free)
         for tap in taps:
             np.equal(xd[tap], out_data, out=hit)
             hit &= free
             free ^= hit
-            if tiled:
-                np.multiply(g, hit, out=dxp[tap])
-            else:
-                dxp[tap] += g * hit
-        if tiled:
-            dxp += 0.0  # as 0 + g*hit did: -0.0 becomes +0.0
+            dxp[tap] += g * hit
         if pad:
             dxp = dxp[:, :, pad:-pad, pad:-pad]
         return (dxp,)

@@ -8,8 +8,9 @@ maxpool2d's chain of strided tap views.
 
 The references at the end are the forms the ops replaced with cheaper ones:
 numpy library forms (np.pad, sliding_window_view, np.mean), conv2d's
-`as_strided` im2col window and `gmat @ cols.T` weight gradient, batchnorm2d
-with fresh temporaries, and the accumulate-only maxpool2d backward. The
+`as_strided` im2col window, `gmat @ cols.T` weight gradient and strided
+col2im fold, batchnorm2d with fresh temporaries, the accumulate-only
+maxpool2d backward and the 2x2 pool's chain over its four taps. The
 replacements must give the same bytes.
 """
 
@@ -253,3 +254,33 @@ def accumulate_maxpool2d_backward(x, g, kernel, stride, pad=0):
         free ^= hit
         dxp[tap] += g * hit
     return dxp[:, :, pad:h - pad, pad:w - pad] if pad else dxp
+
+
+def fold_conv2d_dx(wmat, gmat, xshape, kh, kw, stride, ho, wo):
+    """conv2d's channel-major dx as the GEMM wmat.T @ gmat, folded tap by tap
+    with strided adds of (Ho, Wo) windows into a zeroed (C, N, H, W) buffer."""
+    n, c, h, w = xshape
+    dx = np.zeros((c, n, h, w), dtype=np.result_type(wmat, gmat))
+    d6 = (wmat.T @ gmat).reshape(c, kh, kw, n, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += d6[:, i, j]
+    return dx.transpose(1, 0, 2, 3)
+
+
+def tap_chain_maxpool2x2(x, g):
+    """(out, dx) of a 2x2 stride-2 pool over even H and W: the max chained
+    over the taps in window order, and each window's g * (tap == max) stored
+    at its first hit, -0.0 lifted to +0.0 at the end."""
+    taps = [(..., slice(i, None, 2), slice(j, None, 2)) for i in range(2) for j in range(2)]
+    out = x[taps[0]].copy(order="K")
+    for tap in taps[1:]:
+        np.maximum(out, x[tap], out=out)
+    dx = np.empty_like(x, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for tap in taps:
+        hit = (x[tap] == out) & free
+        free ^= hit
+        np.multiply(g, hit, out=dx[tap])
+    dx += 0.0
+    return out, dx

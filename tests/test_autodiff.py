@@ -2,11 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from padlab.autodiff import (Tape, Tensor, Variable, backward, concat_channels,
-                             fill, grad_check)
+from padlab.autodiff import Tape, Tensor, Variable, backward, fill, grad_check
 from padlab.errors import ConfigError, GraphError, ShapeError
 from padlab.nn import add, mul, relu, sum_all
 from padlab.rng import Rng
@@ -52,42 +49,6 @@ def test_tensor_rank_bounds():
         Tensor(np.zeros((2, 2, 2, 2, 2)))
     with pytest.raises(ShapeError):
         Tensor(np.float32(3.0))  # rank 0
-
-
-def test_concat_channels_shapes():
-    a = fill([2, 3, 8, 8], 1.0)
-    b = fill([2, 1, 8, 8], 2.0)
-    out = concat_channels(a, b)
-    assert out.shape == (2, 4, 8, 8)
-    assert np.all(out.data[:, :3] == 1.0)
-    assert np.all(out.data[:, 3] == 2.0)
-
-
-def test_concat_channels_order():
-    a = Tensor(np.full((1, 1, 1, 1), 5.0, dtype=np.float32))
-    b = Tensor(np.full((1, 1, 1, 1), 7.0, dtype=np.float32))
-    out = concat_channels(a, b)
-    assert out.data[0, 0, 0, 0] == 5.0
-    assert out.data[0, 1, 0, 0] == 7.0
-
-
-def test_concat_channels_mismatch():
-    with pytest.raises(ShapeError):
-        concat_channels(fill([1, 2, 2, 2], 0.0), fill([1, 2, 3, 2], 0.0))
-    with pytest.raises(ShapeError):
-        concat_channels(fill([1, 2, 2, 2], 0.0, "f32"), fill([1, 2, 2, 2], 0.0, "f64"))
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 3), ca=st.integers(1, 4), cb=st.integers(1, 4),
-       h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_concat_then_slice_recovers_exactly(n, ca, cb, h, w, seed):
-    rng = Rng(seed)
-    a = Tensor(rng.uniform((n, ca, h, w)))
-    b = Tensor(rng.uniform((n, cb, h, w)))
-    out = concat_channels(a, b)
-    assert out.data[:, :ca].tobytes() == a.data.tobytes()
-    assert out.data[:, ca:].tobytes() == b.data.tobytes()
 
 
 def test_backward_square_sum():

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padlab.autodiff import Tape, Tensor, Variable, backward
@@ -15,12 +17,13 @@ from padlab.rng import Rng
 
 from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
 from oracles import (accumulate_maxpool2d_backward, as_strided_im2col,
-                     batchnorm2d_eval, channel_stats, gemm_conv2d_dw,
+                     batchnorm2d_eval, channel_stats, fold_conv2d_dx,
+                     gemm_conv2d_dw,
                      mean_adaptive_avgpool2d,
                      mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
                      naive_conv2d_backward, naive_maxpool2d,
                      naive_maxpool2d_backward, naive_pad2d, np_pad_constant,
-                     sliding_window_im2col)
+                     sliding_window_im2col, tap_chain_maxpool2x2)
 
 MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
          PaddingMode.REPLICATE: "replicate"}
@@ -691,3 +694,133 @@ def test_bn_agrees_in_either_layout(dtype, tol, mode):
         for got, want in zip(*results[::-1]):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=tol * cond * np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# whole-row kernels: the 2x2 pool and the stride-1 input gradient keep the
+# bytes of the tap-by-tap forms they replaced
+
+_SPECIALS = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]
+
+
+def _pool2x2_against_tap_chain(x, gfull):
+    """maxpool2d(x, 2, 2) and its dx for the gradient g = gfull's interior,
+    the strided view pad2d's backward hands on, against the tap chain."""
+    g = gfull[:, :, 1:-1, 1:-1]
+    out, (dx,) = _op_backward(lambda v, tape: maxpool2d(v, 2, 2, tape=tape), [x], g)
+    want_out, want_dx = tap_chain_maxpool2x2(x, g)
+    for got, want in ((out, want_out), (dx, want_dx)):
+        _same_bytes(got, want)
+        assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+def test_maxpool2x2_matches_tap_chain_on_every_special_window(dtype, layout):
+    # all 6**4 windows over {+0, -0, 1, NaN, +inf, -inf}, one per channel,
+    # twice over with the channels shuffled into a batch of two
+    windows = np.array(list(itertools.product(_SPECIALS, repeat=4)), dtype)
+    rng = np.random.default_rng(5)
+    specials_g = np.array([1.5, -2.0, -0.0, 0.0, np.nan, np.inf], dtype)
+    for x in (windows.reshape(1, -1, 2, 2),
+              rng.permutation(windows).reshape(2, -1, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+              .reshape(2, -1, 2, 4)):
+        gfull = rng.choice(specials_g, (x.shape[0], x.shape[1], 3, x.shape[3] // 2 + 2))
+        if layout == "channel-major":
+            x, gfull = _channel_major(x), _channel_major(gfull)
+        _pool2x2_against_tap_chain(x, gfull)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       layout=st.sampled_from(["nchw", "channel-major"]), n=st.integers(1, 2),
+       c=st.integers(1, 3), ho=st.integers(1, 4), wo=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_maxpool2x2_matches_tap_chain(dtype, layout, n, c, ho, wo, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.array([*_SPECIALS, -1.0, 0.5], dtype)
+    x = rng.choice(cells, (n, c, 2 * ho, 2 * wo))
+    gfull = rng.choice(np.array([1.5, -2.0, -0.0, np.nan], dtype), (n, c, ho + 2, wo + 2))
+    if layout == "channel-major":
+        x, gfull = _channel_major(x), _channel_major(gfull)
+    _pool2x2_against_tap_chain(x, gfull)
+
+
+def _conv_dx_against_fold(x, w, g):
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    spec = ConvSpec(c, cout, kh, kw, 1, bias=False)
+    _, (dx, _) = _op_backward(lambda xv, wv, tape: conv2d(xv, wv, None, spec, tape), [x, w], g)
+    want = fold_conv2d_dx(w.reshape(cout, -1), g.transpose(1, 0, 2, 3).reshape(cout, -1),
+                          x.shape, kh, kw, 1, g.shape[2], g.shape[3])
+    _same_bytes(dx, want)
+    assert dx.strides == want.strides
+
+
+@settings(max_examples=60, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), k=st.integers(1, 5),
+       n=st.integers(1, 3), c=st.integers(1, 4), cout=st.integers(1, 5),
+       h=st.integers(0, 5).map(lambda v: 2 * v + 1),
+       w=st.integers(0, 5).map(lambda v: 2 * v + 1), seed=st.integers(0, 2**32 - 1))
+def test_conv_stride1_dx_matches_strided_fold(dtype, k, n, c, cout, h, w, seed):
+    assume(h >= k and w >= k)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    wt = rng.standard_normal((cout, c, k, k)).astype(dtype)
+    g = _signed_zero_grad(rng, (n, cout, h - k + 1, w - k + 1), dtype)
+    g.flat[3::11] = np.nan
+    _conv_dx_against_fold(x, wt, g)
+
+
+@pytest.mark.parametrize("size, k", [(3, 3), (4, 3), (1, 1), (2, 1)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conv_dx_keeps_the_fold_for_f32_weights_and_f64_gradients(size, k, n):
+    # f64 input and f32 weights give an f64 gradient; numpy's mixed f32 x f64
+    # product on a few columns gave other bytes than on the widened columns
+    rng = np.random.default_rng(10 * size + k + n)
+    x = rng.standard_normal((n, 16, size, size))
+    wt = rng.standard_normal((32, 16, k, k)).astype(np.float32)
+    g = _signed_zero_grad(rng, (n, 32, size - k + 1, size - k + 1), np.float64)
+    _conv_dx_against_fold(x, wt, g)
+
+
+@pytest.mark.parametrize("n, c, cout, size", [(3, 16, 32, 13), (2, 16, 48, 15), (1, 32, 32, 25)])
+def test_conv_dx_keeps_the_fold_for_f64(n, c, cout, size):
+    # f64 GEMMs on AVX-512 OpenBLAS give the last N mod 8 columns other
+    # bytes than the same columns inside a wider product
+    rng = np.random.default_rng(n + c + size)
+    x = rng.standard_normal((n, c, size, size))
+    wt = rng.standard_normal((cout, c, 3, 3))
+    _conv_dx_against_fold(x, wt, _signed_zero_grad(rng, (n, cout, size - 2, size - 2),
+                                                   np.float64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_conv_dx_with_a_non_finite_weight_matches_the_fold(bad):
+    # a non-finite weight times a padded zero column is NaN, not +-0
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 3, 6, 7)).astype(np.float32)
+    wt = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    wt[1, 2, 0, 1] = bad
+    _conv_dx_against_fold(x, wt, _signed_zero_grad(rng, (2, 4, 4, 5), np.float32))
+
+
+
+@pytest.mark.parametrize("c", [5, 8, 13, 15])
+def test_conv_dx_keeps_the_fold_for_a_single_output_column(c):
+    # one image with a 1x1 output map: numpy multiplies a single column by
+    # gemv, whose bytes can differ from the same column inside a wider GEMM
+    rng = np.random.default_rng(c)
+    for _ in range(20):
+        x = rng.standard_normal((1, c, 3, 3)).astype(np.float32)
+        wt = rng.standard_normal((4, c, 3, 3)).astype(np.float32)
+        _conv_dx_against_fold(x, wt, rng.standard_normal((1, 4, 1, 1)).astype(np.float32))
+
+
+def test_conv_stride1_dx_blocks_match_the_fold():
+    # 36 columns of 31x33 per image: blocks of 3 images, the last one partial
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((8, 4, 33, 33)).astype(np.float32)
+    wt = rng.standard_normal((8, 4, 3, 3)).astype(np.float32)
+    assert _COL_BLOCK_BYTES // (36 * 31 * 33 * 4) == 3
+    _conv_dx_against_fold(x, wt, _signed_zero_grad(rng, (8, 8, 31, 31), np.float32))
