@@ -31,13 +31,9 @@ def count_params(model: Model) -> int:
     return sum(var.value.size for _, var in model.named_parameters())
 
 
-def count_macs(model: Model, input_size: int | None = None) -> int:
-    """MACs for one forward pass of a single image at `input_size`."""
+def count_macs(model: Model) -> int:
+    """MACs for one forward pass of a single image at the spec's input size."""
     spec = model.spec
-    if input_size is not None and input_size != spec.input_size:
-        spec = ModelSpec(spec.family, spec.pad_channel, spec.num_classes,
-                         spec.input_channels, input_size, spec.padding_mode)
-        model = build_model(spec, Rng(0), init="zeros")
     try:
         return sum(macs for _, _, macs in model.cost_rows())
     except GeometryError as exc:

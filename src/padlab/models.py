@@ -7,6 +7,11 @@ input channel and `forward` prepends `attach_pad_channel`, so after the first
 zero padding the extra channel is exactly the 0/1 indicator of the original
 image extent. That marker only survives zero padding, so building a
 pad-channel model with any other padding mode is rejected.
+
+Forward passes and cost accounting share one walk: a container's
+`forward(x, ctx)` hands each leaf to `ctx.layer` and each shortcut join to
+`ctx.add`, which `Forward` runs on activations and `_CostWalk` on one image's
+(C, H, W) shape.
 """
 
 from __future__ import annotations
@@ -28,14 +33,20 @@ from .rng import Rng
 FAMILIES = ("vgg11-bn", "vgg16-bn", "resnet18", "resnet50", "tinyvgg", "tinyresnet")
 
 VGG_CFGS = {
-    "vgg11-bn": (64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"),
-    "vgg16-bn": (64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
-                 512, 512, 512, "M", 512, 512, 512, "M"),
+    # features ("M" = 2x2 max-pool), classifier hidden widths, avgpool side
+    # (None: flatten the last feature map as it is)
+    "vgg11-bn": ((64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"),
+                 (4096, 4096), 7),
+    "vgg16-bn": ((64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
+                  512, 512, 512, "M", 512, 512, 512, "M"), (4096, 4096), 7),
+    "tinyvgg": ((8, "M", 16, "M", 32, "M"), (64,), None),
 }
 RESNET_CFGS = {
-    # block kind, blocks per stage, stage widths, expansion
-    "resnet18": ("basic", (2, 2, 2, 2), (64, 128, 256, 512), 1),
-    "resnet50": ("bottleneck", (3, 4, 6, 3), (64, 128, 256, 512), 4),
+    # block kind, blocks per stage, stage widths, expansion,
+    # stem (width, kernel, first-stage stride)
+    "resnet18": ("basic", (2, 2, 2, 2), (64, 128, 256, 512), 1, (64, 7, 1)),
+    "resnet50": ("bottleneck", (3, 4, 6, 3), (64, 128, 256, 512), 4, (64, 7, 1)),
+    "tinyresnet": ("basic", (1, 1), (16, 32), 1, (8, 3, 2)),
 }
 
 
@@ -63,6 +74,14 @@ def normalize_family(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
+def _first_conv_channels(spec: ModelSpec) -> int:
+    return spec.input_channels + (1 if spec.pad_channel else 0)
+
+
+def _qual(prefix: str, name: str) -> str:
+    return f"{prefix}.{name}" if prefix else name
+
+
 class Forward:
     """State threaded through one forward pass."""
 
@@ -76,13 +95,39 @@ class Forward:
         self.tape = tape
         self.rng = rng
 
+    def layer(self, module: "Layer", x: Variable) -> Variable:
+        return module.op(x, self)
+
+    def add(self, a: Variable, b: Variable) -> Variable:
+        return add(a, b, self.tape)
+
+
+class _CostWalk:
+    """Carries one image's (C, H, W) shape through `Module.forward` and
+    records a (name, params, macs) row for each layer that has a cost."""
+
+    def __init__(self, model: "Module"):
+        self.names = {module: name for name, module in model.named_modules()}
+        self.rows = []
+
+    def layer(self, module: "Layer", chw):
+        name = self.names[module]
+        out, params, macs = module.cost(chw, name)
+        if macs is not None:
+            self.rows.append((name, params, macs))
+        return out
+
+    def add(self, a, b):
+        return a
+
 
 class Module:
-    """Base for layers and blocks: named parameters, buffers, children."""
+    """Base for layers and blocks: named parameters and children, given as
+    (name, module) pairs. A container's forward runs its children in order."""
 
-    def __init__(self):
+    def __init__(self, children=()):
         self._params: dict[str, Variable] = {}
-        self._children: dict[str, Module] = {}
+        self._children: dict[str, Module] = dict(children)
 
     def add_param(self, name: str, tensor: Tensor) -> Variable:
         var = Variable(tensor, requires_grad=True, name=name)
@@ -93,62 +138,45 @@ class Module:
         self._children[name] = module
         return module
 
-    def named_parameters(self, prefix: str = ""):
-        for name, var in self._params.items():
-            yield prefix + name, var
-        for cname, child in self._children.items():
-            yield from child.named_parameters(f"{prefix}{cname}.")
+    def named_modules(self, prefix: str = ""):
+        """[(qualified name, module)] depth first in child order, this one first."""
+        out = [(prefix, self)]
+        for name, child in self._children.items():
+            out += child.named_modules(_qual(prefix, name))
+        return out
 
-    def named_buffers(self, prefix: str = ""):
-        yield from ()
-        for cname, child in self._children.items():
-            yield from child.named_buffers(f"{prefix}{cname}.")
+    def named_parameters(self):
+        for prefix, module in self.named_modules():
+            for name, var in module._params.items():
+                yield _qual(prefix, name), var
 
-    def set_buffer(self, name: str, value: np.ndarray):
-        raise KeyError(name)
+    def _buffer_slots(self):
+        """(qualified name, owner, attribute) of each BatchNorm running stat."""
+        for prefix, module in self.named_modules():
+            if isinstance(module, BatchNorm2d):
+                for name in ("running_mean", "running_var"):
+                    yield _qual(prefix, name), module.state, name
+
+    def named_buffers(self):
+        for name, owner, attr in self._buffer_slots():
+            yield name, getattr(owner, attr)
 
     def load_state(self, tensors: dict):
         """Assign parameters and buffers by fully qualified name."""
-        own = dict(self.named_parameters())
-        for name, var in own.items():
+        def take(kind, name, like):
             if name not in tensors:
-                raise ConfigError(f"checkpoint missing parameter {name}")
+                raise ConfigError(f"checkpoint missing {kind} {name}")
             arr = tensors[name]
-            if arr.shape != var.value.shape:
+            if arr.shape != like.shape:
                 raise ShapeError(f"{name}: checkpoint shape {arr.shape} "
-                                 f"!= model shape {var.value.shape}")
-            var.value = Tensor(arr.astype(var.value.data.dtype, copy=True))
+                                 f"!= model shape {like.shape}")
+            return arr.astype(like.dtype, copy=True)
+
+        for name, var in self.named_parameters():
+            var.value = Tensor(take("parameter", name, var.value.data))
             var.zero_grad()
-        for name, _ in self.named_buffers():
-            if name not in tensors:
-                raise ConfigError(f"checkpoint missing buffer {name}")
-            self._assign_buffer(name, tensors[name])
-
-    def _assign_buffer(self, qual_name: str, value: np.ndarray):
-        head, _, rest = qual_name.partition(".")
-        if rest and head in self._children:
-            self._children[head]._assign_buffer(rest, value)
-        else:
-            self.set_buffer(qual_name, value)
-
-    def forward(self, x: Variable, ctx: Forward) -> Variable:
-        raise NotImplementedError
-
-    # cost walk: returns (out_chw, rows of (name, params, macs))
-    def walk_cost(self, in_chw, prefix: str = ""):
-        rows = []
-        shape = in_chw
-        for cname, child in self._children.items():
-            shape, sub = child.walk_cost(shape, f"{prefix}{cname}.")
-            rows.extend(sub)
-        return shape, rows
-
-
-class Sequential(Module):
-    def __init__(self, layers):
-        super().__init__()
-        for name, layer in layers:
-            self.add_child(name, layer)
+        for name, owner, attr in self._buffer_slots():
+            setattr(owner, attr, take("buffer", name, getattr(owner, attr)))
 
     def forward(self, x, ctx):
         for child in self._children.values():
@@ -156,44 +184,57 @@ class Sequential(Module):
         return x
 
 
-def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+class Layer(Module):
+    """A leaf. `op(x, ctx)` computes it; `cost(chw, name)` gives its output
+    shape, parameter count and MACs on one (C, H, W) image, macs None for a
+    layer that takes no row in the cost table."""
+
+    def forward(self, x, ctx):
+        return ctx.layer(self, x)
 
 
-class Conv2d(Module):
+def _weight(shape, rng: Rng, init: str) -> Tensor:
+    if init == "zeros":  # structure only: a read-only view, trainable once loaded
+        return Tensor(zeros_view(shape, np.float32))
+    return kaiming_init(shape, rng.child("weight"))
+
+
+def _out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int,
+            what: str, name: str) -> tuple[int, int]:
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise GeometryError(f"{name}: {what} output {ho}x{wo} < 1")
+    return ho, wo
+
+
+class Conv2d(Layer):
     def __init__(self, spec: ConvSpec, rng: Rng, init: str = "kaiming"):
         super().__init__()
         self.spec = spec
         shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        if init == "zeros":  # structure only: a read-only view, trainable once loaded
-            weight = Tensor(zeros_view(shape, np.float32))
-        else:
-            weight = kaiming_init(shape, rng.child("weight"))
-        self.weight = self.add_param("weight", weight)
+        self.weight = self.add_param("weight", _weight(shape, rng, init))
         self.bias = None
         if spec.bias:
             self.bias = self.add_param(
                 "bias", Tensor(np.zeros(spec.out_channels, np.float32)))
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return conv2d(x, self.weight, self.bias, self.spec, tape=ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        c, h, w = in_chw
+    def cost(self, chw, name):
+        _, h, w = chw
         s = self.spec
-        ho, wo = _conv_out(h, s.kernel_h, s.stride, s.pad), _conv_out(w, s.kernel_w, s.stride, s.pad)
-        if ho < 1 or wo < 1:
-            raise GeometryError(f"{prefix.rstrip('.')}: conv output {ho}x{wo} < 1")
+        ho, wo = _out_hw(h, w, s.kernel_h, s.kernel_w, s.stride, s.pad, "conv", name)
         out_elems = s.out_channels * ho * wo
         macs = s.kernel_h * s.kernel_w * s.in_channels * out_elems
         params = self.weight.value.size
         if self.bias is not None:
             macs += out_elems
             params += s.out_channels
-        return (s.out_channels, ho, wo), [(prefix.rstrip("."), params, macs)]
+        return (s.out_channels, ho, wo), params, macs
 
 
-class BatchNorm2d(Module):
+class BatchNorm2d(Layer):
     def __init__(self, num_features: int, dtype=np.float32):
         super().__init__()
         self.spec = BatchNormSpec(num_features)
@@ -201,122 +242,102 @@ class BatchNorm2d(Module):
         self.beta = self.add_param("beta", Tensor(np.zeros(num_features, dtype)))
         self.state = BatchNormState(num_features, dtype)
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return batchnorm2d(x, self.gamma, self.beta, self.state, self.spec,
                            ctx.mode, tape=ctx.tape)
 
-    def named_buffers(self, prefix=""):
-        yield prefix + "running_mean", self.state.running_mean
-        yield prefix + "running_var", self.state.running_var
-
-    def set_buffer(self, name, value):
-        if name == "running_mean":
-            self.state.running_mean = value.astype(self.state.running_mean.dtype, copy=True)
-        elif name == "running_var":
-            self.state.running_var = value.astype(self.state.running_var.dtype, copy=True)
-        else:
-            raise KeyError(name)
-
-    def walk_cost(self, in_chw, prefix=""):
-        c, h, w = in_chw
-        return in_chw, [(prefix.rstrip("."), 2 * c, 2 * c * h * w)]
+    def cost(self, chw, name):
+        return chw, 2 * chw[0], 2 * math.prod(chw)
 
 
-class ReLU(Module):
-    def forward(self, x, ctx):
+class ReLU(Layer):
+    def op(self, x, ctx):
         return relu(x, ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        return in_chw, [(prefix.rstrip("."), 0, 2 * math.prod(in_chw))]
+    def cost(self, chw, name):
+        return chw, 0, 2 * math.prod(chw)
 
 
-class MaxPool2d(Module):
+class MaxPool2d(Layer):
     def __init__(self, kernel: int, stride: int, pad: int = 0):
         super().__init__()
         self.kernel, self.stride, self.pad = kernel, stride, pad
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return maxpool2d(x, self.kernel, self.stride, self.pad, tape=ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        c, h, w = in_chw
-        ho = _conv_out(h, self.kernel, self.stride, self.pad)
-        wo = _conv_out(w, self.kernel, self.stride, self.pad)
-        if ho < 1 or wo < 1:
-            raise GeometryError(f"{prefix.rstrip('.')}: pool output {ho}x{wo} < 1")
-        return (c, ho, wo), [(prefix.rstrip("."), 0, 2 * c * h * w)]
+    def cost(self, chw, name):
+        c, h, w = chw
+        ho, wo = _out_hw(h, w, self.kernel, self.kernel, self.stride, self.pad,
+                         "pool", name)
+        return (c, ho, wo), 0, 2 * c * h * w
 
 
-class AdaptiveAvgPool2d(Module):
+class AdaptiveAvgPool2d(Layer):
     def __init__(self, out_h: int, out_w: int):
         super().__init__()
         self.out_h, self.out_w = out_h, out_w
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return adaptive_avgpool2d(x, self.out_h, self.out_w, tape=ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        c, h, w = in_chw
-        return (c, self.out_h, self.out_w), [(prefix.rstrip("."), 0, 2 * c * h * w)]
+    def cost(self, chw, name):
+        return (chw[0], self.out_h, self.out_w), 0, 2 * math.prod(chw)
 
 
-class GlobalAvgPool(Module):
+class GlobalAvgPool(Layer):
     """(N, C, H, W) -> (N, C)."""
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return global_avgpool(x, ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        c, h, w = in_chw
-        return (c,), [(prefix.rstrip("."), 0, 2 * c * h * w)]
+    def cost(self, chw, name):
+        return (chw[0],), 0, 2 * math.prod(chw)
 
 
-class Flatten(Module):
-    def forward(self, x, ctx):
+class Flatten(Layer):
+    def op(self, x, ctx):
         return flatten(x, ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        return (math.prod(in_chw),), []
+    def cost(self, chw, name):
+        return (math.prod(chw),), 0, None
 
 
-class Dropout(Module):
+class Dropout(Layer):
     def __init__(self, p: float = 0.5):
         super().__init__()
         self.p = p
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return dropout(x, self.p, ctx.mode, ctx.rng, tape=ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        return in_chw, []
+    def cost(self, chw, name):
+        return chw, 0, None
 
 
-class Linear(Module):
+class Linear(Layer):
     def __init__(self, in_features: int, out_features: int, rng: Rng,
                  init: str = "kaiming"):
         super().__init__()
-        if init == "zeros":
-            weight = Tensor(zeros_view((out_features, in_features), np.float32))
-        else:
-            weight = kaiming_init((out_features, in_features), rng.child("weight"))
-        self.weight = self.add_param("weight", weight)
+        self.weight = self.add_param(
+            "weight", _weight((out_features, in_features), rng, init))
         self.bias = self.add_param("bias", Tensor(np.zeros(out_features, np.float32)))
 
-    def forward(self, x, ctx):
+    def op(self, x, ctx):
         return linear(x, self.weight, self.bias, tape=ctx.tape)
 
-    def walk_cost(self, in_chw, prefix=""):
-        (f,) = in_chw
+    def cost(self, chw, name):
+        (f,) = chw
         o = self.weight.value.shape[0]
-        return (o,), [(prefix.rstrip("."), self.weight.value.size + o, f * o + o)]
+        return (o,), self.weight.value.size + o, f * o + o
 
 
 class Residual(Module):
     """A main path of conv -> bn -> ReLU triples, one per (out_channels,
     kernel, stride) in `convs`, with an identity or 1x1-projection shortcut
-    added before the last ReLU. forward and walk_cost both visit the main
-    path, then downsample, then that ReLU; the children stay in the order
-    main path, downsample, which fixes parameter and checkpoint order."""
+    added before the last ReLU. forward visits the main path, then
+    downsample, then that ReLU; the children stay in the order main path,
+    downsample, which fixes parameter and checkpoint order."""
 
     def __init__(self, in_ch: int, convs, padding_mode: PaddingMode, rng: Rng,
                  init: str = "kaiming"):
@@ -329,10 +350,10 @@ class Residual(Module):
             self.add_child(f"bn{i}", BatchNorm2d(out_ch))
             self.add_child(f"relu{i}", ReLU())
             ch = out_ch
-        self.out_channels, self.main = ch, list(self._children.items())
+        self.out_channels, self.main = ch, list(self._children.values())
         stride = math.prod(s for *_, s in convs)
         if stride != 1 or in_ch != ch:
-            self.add_child("downsample", Sequential([
+            self.add_child("downsample", Module([
                 ("conv", Conv2d(ConvSpec(in_ch, ch, 1, 1, stride, 0,
                                          padding_mode, bias=False),
                                 rng.child("downsample"), init)),
@@ -341,23 +362,11 @@ class Residual(Module):
 
     def forward(self, x, ctx):
         out = x
-        for _, layer in self.main[:-1]:
+        for layer in self.main[:-1]:
             out = layer.forward(out, ctx)
         c = self._children
         shortcut = c["downsample"].forward(x, ctx) if "downsample" in c else x
-        return self.main[-1][1].forward(add(out, shortcut, ctx.tape), ctx)
-
-    def walk_cost(self, in_chw, prefix=""):
-        rows, shape = [], in_chw
-        for name, layer in self.main[:-1]:
-            shape, sub = layer.walk_cost(shape, f"{prefix}{name}.")
-            rows.extend(sub)
-        if "downsample" in self._children:
-            rows.extend(self._children["downsample"].walk_cost(
-                in_chw, f"{prefix}downsample.")[1])
-        name, last = self.main[-1]
-        shape, sub = last.walk_cost(shape, f"{prefix}{name}.")
-        return shape, rows + sub
+        return self.main[-1].forward(ctx.add(out, shortcut), ctx)
 
 
 class Model(Module):
@@ -386,133 +395,74 @@ class Model(Module):
                 f"expected (N, {self.spec.input_channels}, S, S) batch, got {x.shape}")
         if self.spec.pad_channel:
             x = attach_pad_channel(x, tape=ctx.tape)
-        for child in self._children.values():
-            x = child.forward(x, ctx)
-        return x
-
-    def input_chw(self):
-        c = self.spec.input_channels + (1 if self.spec.pad_channel else 0)
-        return (c, self.spec.input_size, self.spec.input_size)
+        return Module.forward(self, x, ctx)
 
     def cost_rows(self):
-        """(name, params, macs) per layer at the spec's input size."""
-        shape, rows = self.walk_cost(self.input_chw())
-        return rows
-
-
-def _check_pad_channel(spec: ModelSpec):
-    if spec.pad_channel and spec.padding_mode is not PaddingMode.ZERO:
-        raise IncompatiblePaddingError(
-            "the pad-indicator channel only works with zero padding: "
-            f"{spec.padding_mode.value} padding keeps the marker at 1 everywhere")
+        """(name, params, macs) per layer in forward order at the spec's input size."""
+        walk = _CostWalk(self)
+        size = self.spec.input_size
+        Module.forward(self, (_first_conv_channels(self.spec), size, size), walk)
+        return walk.rows
 
 
 def _build_vgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
+    features, hidden, side = VGG_CFGS[normalize_family(spec.family)]
     model = Model(spec)
     pm = spec.padding_mode
-    in_ch = spec.input_channels + (1 if spec.pad_channel else 0)
+    in_ch = _first_conv_channels(spec)
     layers = []
     conv_i = pool_i = 0
-    for v in VGG_CFGS[normalize_family(spec.family)]:
+    for v in features:
         if v == "M":
             pool_i += 1
             layers.append((f"pool{pool_i}", MaxPool2d(2, 2)))
         else:
             conv_i += 1
-            layers.append((f"conv{conv_i}",
-                           Conv2d(ConvSpec(in_ch, v, 3, 3, 1, 1, pm, bias=True),
-                                  rng.child(f"conv{conv_i}"), init)))
-            layers.append((f"bn{conv_i}", BatchNorm2d(v)))
-            layers.append((f"relu{conv_i}", ReLU()))
+            conv = Conv2d(ConvSpec(in_ch, v, 3, 3, 1, 1, pm, bias=True),
+                          rng.child(f"conv{conv_i}"), init)
+            layers += [(f"conv{conv_i}", conv), (f"bn{conv_i}", BatchNorm2d(v)),
+                       (f"relu{conv_i}", ReLU())]
             in_ch = v
-    model.add_child("features", Sequential(layers))
-    model.add_child("avgpool", AdaptiveAvgPool2d(7, 7))
-    model.add_child("classifier", Sequential([
-        ("flatten", Flatten()),
-        ("fc1", Linear(in_ch * 7 * 7, 4096, rng.child("fc1"), init)),
-        ("relu1", ReLU()),
-        ("drop1", Dropout(0.5)),
-        ("fc2", Linear(4096, 4096, rng.child("fc2"), init)),
-        ("relu2", ReLU()),
-        ("drop2", Dropout(0.5)),
-        ("fc3", Linear(4096, spec.num_classes, rng.child("fc3"), init)),
-    ]))
+    model.add_child("features", Module(layers))
+    if side is None:
+        side = spec.input_size // 2 ** pool_i
+    else:
+        model.add_child("avgpool", AdaptiveAvgPool2d(side, side))
+    head = [("flatten", Flatten())]
+    width = in_ch * side * side
+    for i, out in enumerate(hidden, start=1):
+        head += [(f"fc{i}", Linear(width, out, rng.child(f"fc{i}"), init)),
+                 (f"relu{i}", ReLU()), (f"drop{i}", Dropout(0.5))]
+        width = out
+    fc = f"fc{len(hidden) + 1}"
+    head.append((fc, Linear(width, spec.num_classes, rng.child(fc), init)))
+    model.add_child("classifier", Module(head))
     return model
 
 
 def _build_resnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
+    kind, blocks, widths, expansion, (ch, k, first_stride) = \
+        RESNET_CFGS[normalize_family(spec.family)]
     model = Model(spec)
     pm = spec.padding_mode
-    kind, blocks, widths, expansion = RESNET_CFGS[normalize_family(spec.family)]
-    in_ch = spec.input_channels + (1 if spec.pad_channel else 0)
-    model.add_child("stem", Sequential([
-        ("conv", Conv2d(ConvSpec(in_ch, 64, 7, 7, 2, 3, pm, bias=False),
-                        rng.child("stem"), init)),
-        ("bn", BatchNorm2d(64)),
-        ("relu", ReLU()),
-        ("pool", MaxPool2d(3, 2, pad=1)),
-    ]))
-    ch = 64
+    stem = [("conv", Conv2d(ConvSpec(_first_conv_channels(spec), ch, k, k, 2, k // 2,
+                                     pm, bias=False), rng.child("stem"), init)),
+            ("bn", BatchNorm2d(ch)), ("relu", ReLU())]
+    if first_stride == 1:  # the stem max-pools unless the first stage strides
+        stem.append(("pool", MaxPool2d(3, 2, pad=1)))
+    model.add_child("stem", Module(stem))
     for stage, (n_blocks, width) in enumerate(zip(blocks, widths), start=1):
         stage_layers = []
         for b in range(1, n_blocks + 1):
-            stride = 2 if (stage > 1 and b == 1) else 1
-            brng = rng.child(f"layer{stage}.block{b}")
+            stride = 1 if b > 1 else first_stride if stage == 1 else 2
             convs = ([(width, 3, stride), (width, 3, 1)] if kind == "basic" else
                      [(width, 1, 1), (width, 3, stride), (width * expansion, 1, 1)])
-            block = Residual(ch, convs, pm, brng, init)
+            block = Residual(ch, convs, pm, rng.child(f"layer{stage}.block{b}"), init)
             ch = block.out_channels
             stage_layers.append((f"block{b}", block))
-        model.add_child(f"layer{stage}", Sequential(stage_layers))
+        model.add_child(f"layer{stage}", Module(stage_layers))
     model.add_child("gap", GlobalAvgPool())
     model.add_child("fc", Linear(ch, spec.num_classes, rng.child("fc"), init))
-    return model
-
-
-def _build_tinyresnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
-    # frozen desk-scale stack: 7 convs total (incl. the two 1x1 projections)
-    model = Model(spec)
-    pm = spec.padding_mode
-    in_ch = spec.input_channels + (1 if spec.pad_channel else 0)
-    model.add_child("stem", Sequential([
-        ("conv", Conv2d(ConvSpec(in_ch, 8, 3, 3, 2, 1, pm, bias=False),
-                        rng.child("stem"), init)),
-        ("bn", BatchNorm2d(8)),
-        ("relu", ReLU()),
-    ]))
-    for i, (ch, width) in enumerate(((8, 16), (16, 32)), start=1):
-        model.add_child(f"layer{i}", Sequential([("block1", Residual(
-            ch, [(width, 3, 2), (width, 3, 1)], pm, rng.child(f"layer{i}.block1"), init))]))
-    model.add_child("gap", GlobalAvgPool())
-    model.add_child("fc", Linear(32, spec.num_classes, rng.child("fc"), init))
-    return model
-
-
-def _build_tinyvgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
-    # frozen desk-scale stack: 3 convs, flatten head
-    model = Model(spec)
-    pm = spec.padding_mode
-    in_ch = spec.input_channels + (1 if spec.pad_channel else 0)
-    layers = []
-    for i, width in enumerate((8, 16, 32), start=1):
-        layers.append((f"conv{i}", Conv2d(ConvSpec(in_ch, width, 3, 3, 1, 1, pm,
-                                                   bias=True),
-                                          rng.child(f"conv{i}"), init)))
-        layers.append((f"bn{i}", BatchNorm2d(width)))
-        layers.append((f"relu{i}", ReLU()))
-        layers.append((f"pool{i}", MaxPool2d(2, 2)))
-        in_ch = width
-    model.add_child("features", Sequential(layers))
-    side = spec.input_size // 8
-    if side < 1:
-        raise ConfigError(f"input_size {spec.input_size} too small for tinyvgg")
-    model.add_child("classifier", Sequential([
-        ("flatten", Flatten()),
-        ("fc1", Linear(32 * side * side, 64, rng.child("fc1"), init)),
-        ("relu1", ReLU()),
-        ("drop1", Dropout(0.5)),
-        ("fc2", Linear(64, spec.num_classes, rng.child("fc2"), init)),
-    ]))
     return model
 
 
@@ -525,15 +475,10 @@ def build_model(spec: ModelSpec, rng: Rng, init: str = "kaiming") -> Model:
     zero views that own no memory, so it is not trainable until a checkpoint
     is loaded with `load_state`.
     """
-    _check_pad_channel(spec)
-    family = normalize_family(spec.family)
-    if family in VGG_CFGS:
+    if spec.pad_channel and spec.padding_mode is not PaddingMode.ZERO:
+        raise IncompatiblePaddingError(
+            "the pad-indicator channel only works with zero padding: "
+            f"{spec.padding_mode.value} padding keeps the marker at 1 everywhere")
+    if normalize_family(spec.family) in VGG_CFGS:
         return _build_vgg(spec, rng, init)
-    if family in RESNET_CFGS:
-        return _build_resnet(spec, rng, init)
-    if family == "tinyresnet":
-        return _build_tinyresnet(spec, rng, init)
-    if family == "tinyvgg":
-        return _build_tinyvgg(spec, rng, init)
-    raise ConfigError(f"unknown family {spec.family!r}")
-
+    return _build_resnet(spec, rng, init)

@@ -154,9 +154,13 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         tensors = read_tensors(path)
-        epoch = int(tensors.pop("meta.epoch")[0])
-        val_top1 = float(tensors.pop("meta.val_top1")[0])
-        return cls(epoch, val_top1, tensors)
+        meta = []
+        for name in ("meta.epoch", "meta.val_top1"):
+            arr = tensors.pop(name, None)
+            if arr is None or arr.size != 1 or not np.isfinite(arr).all():
+                raise CorruptFileError(f"{name} must hold exactly one finite value")
+            meta.append(arr.reshape(-1)[0])
+        return cls(int(meta[0]), float(meta[1]), tensors)
 
     def apply_to(self, model: Model):
         model.load_state(self.tensors)

@@ -393,6 +393,47 @@ def test_eval_checkpoint_with_non_utf8_name_exits_2(tmp_path, capsys):
     assert "not UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("meta", [{"meta.val_top1": [50.0]},
+                                  {"meta.epoch": [3.0]},
+                                  {"meta.epoch": [], "meta.val_top1": [50.0]},
+                                  {"meta.epoch": [3.0], "meta.val_top1": [50.0, 1.0]},
+                                  {"meta.epoch": [np.nan], "meta.val_top1": [50.0]}],
+                         ids=["no-epoch", "no-top1", "empty-epoch", "two-top1", "nan-epoch"])
+def test_eval_checkpoint_with_bad_meta_exits_2(tmp_path, capsys, meta):
+    from padlab.checkpoint import model_state, write_tensors
+    from padlab.models import ModelSpec, build_model
+    from padlab.rng import Rng
+    cfg_path, _ = _config(tmp_path)
+    state = model_state(build_model(ModelSpec("tinyvgg", num_classes=2,
+                                              input_size=32), Rng(0)))
+    state.update({k: np.asarray(v, np.float64) for k, v in meta.items()})
+    ckpt = tmp_path / "meta.ckpt"
+    write_tensors(ckpt, state)
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--config", str(cfg_path))
+    assert code == 2
+    assert "must hold exactly one finite value" in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_eval_checkpoint_with_wrong_shaped_running_stat_exits_1(tmp_path, capsys):
+    from padlab.checkpoint import model_state
+    from padlab.models import ModelSpec, build_model
+    from padlab.rng import Rng
+    from padlab.training import Checkpoint
+    cfg_path, _ = _config(tmp_path)
+    state = model_state(build_model(ModelSpec("tinyvgg", num_classes=2,
+                                              input_size=32), Rng(0)))
+    state["features.bn2.running_mean"] = np.zeros(3, np.float32)
+    ckpt = tmp_path / "bn.ckpt"
+    Checkpoint(0, 50.0, state).save(ckpt)
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--config", str(cfg_path))
+    assert code == 1
+    assert "features.bn2.running_mean: checkpoint shape (3,)" in err
+    assert out == "" and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

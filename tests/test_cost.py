@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from padlab.cost import (COST_FAMILIES, cost_pair, cost_table, count_macs,
                          count_params)
 from padlab.errors import ConfigError, GeometryError
-from padlab.models import Conv2d, ModelSpec, build_model
+from padlab.models import Conv2d, Forward, ModelSpec, build_model
 from padlab.nn import ConvSpec
 from padlab.rng import Rng
 
@@ -33,13 +34,14 @@ def report():
 def test_single_conv_param_count():
     model = build_model(ModelSpec("vgg11-bn"), Rng(0), init="zeros")
     conv1 = model._children["features"]._children["conv1"]
-    (_, params, _), = conv1.walk_cost((3, 224, 224))[1]
+    _, params, _ = conv1.cost((3, 224, 224), "features.conv1")
     assert params == 3 * 3 * 3 * 64 + 64 == 1792
 
 
 def test_identity_conv_is_one_mac():
     layer = Conv2d(ConvSpec(1, 1, 1, 1, bias=False), Rng(0))
-    (_, params, macs), = layer.walk_cost((1, 1, 1))[1]
+    out, params, macs = layer.cost((1, 1, 1), "conv")
+    assert out == (1, 1, 1)
     assert macs == 1
     assert params == 1
 
@@ -119,8 +121,53 @@ def test_unknown_family_errors():
 
 
 def test_geometry_underflow_errors():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="input size 8 too small for vgg11-bn: "
+                       "features.pool4: pool output 0x0 < 1"):
         cost_pair("vgg11-bn", 8)
+
+
+def test_cost_csv_bytes_pinned(report):
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == \
+        "6e45856f9a6fb5a64402d0ea054ef938ae820f9ec38383bf8e7b36a200e65973"
+
+
+def test_tinyresnet_cost_rows_in_forward_order():
+    # the shortcut's projection runs after the main path and before the ReLU
+    # that follows the join
+    model = build_model(ModelSpec("tinyresnet", pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0), init="zeros")
+    assert [name for name, _, _ in model.cost_rows()] == [
+        "stem.conv", "stem.bn", "stem.relu",
+        "layer1.block1.conv1", "layer1.block1.bn1", "layer1.block1.relu1",
+        "layer1.block1.conv2", "layer1.block1.bn2",
+        "layer1.block1.downsample.conv", "layer1.block1.downsample.bn",
+        "layer1.block1.relu2",
+        "layer2.block1.conv1", "layer2.block1.bn1", "layer2.block1.relu1",
+        "layer2.block1.conv2", "layer2.block1.bn2",
+        "layer2.block1.downsample.conv", "layer2.block1.downsample.bn",
+        "layer2.block1.relu2",
+        "gap", "fc"]
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_cost_rows_follow_the_forward_pass(family, monkeypatch):
+    # every layer a real forward runs, in its order, is a cost row unless
+    # its rule gives no MACs (flatten, dropout)
+    model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0))
+    names = {module: name for name, module in model.named_modules()}
+    ran = []
+    layer = Forward.layer
+
+    def spy(ctx, module, x):
+        ran.append(names[module])
+        return layer(ctx, module, x)
+
+    monkeypatch.setattr(Forward, "layer", spy)
+    model.forward(np.zeros((2, 3, 32, 32), np.float32), "train", None, Rng(1))
+    costed = [name for name, _, _ in model.cost_rows()]
+    assert [n for n in ran if not n.startswith(("classifier.flatten",
+                                                "classifier.drop"))] == costed
 
 
 def test_csv_columns(report):

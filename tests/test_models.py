@@ -243,6 +243,26 @@ def test_zeros_build_loaded_from_checkpoint_matches_kaiming_build():
             == loaded.forward(batch, "eval").value.data.tobytes())
 
 
+def test_load_state_rejects_wrong_shaped_running_stat():
+    # buffers get the parameter checks: a wrong shape raises ShapeError
+    # instead of loading and failing later inside batchnorm
+    model = build_model(ModelSpec("tinyvgg", num_classes=2, input_size=32), Rng(0))
+    state = dict(model_state(model))
+    state["features.bn1.running_mean"] = np.zeros(9, np.float32)
+    with pytest.raises(ShapeError, match=r"features.bn1.running_mean: checkpoint "
+                       r"shape \(9,\) != model shape \(8,\)"):
+        model.load_state(state)
+
+
+def test_load_state_rejects_missing_running_stat():
+    model = build_model(ModelSpec("tinyresnet", num_classes=2, input_size=32), Rng(0))
+    state = dict(model_state(model))
+    del state["layer1.block1.downsample.bn.running_var"]
+    with pytest.raises(ConfigError, match="checkpoint missing buffer "
+                       "layer1.block1.downsample.bn.running_var"):
+        model.load_state(state)
+
+
 def test_eval_forward_allocates_no_full_column_matrix():
     # forward-only convs build im2col columns in blocks of about 512 KiB, and
     # eval batchnorm without a tape writes its output over its own xhat; one
