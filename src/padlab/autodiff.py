@@ -131,6 +131,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self.swept = False
 
     def record(self, inputs, output: Variable, backward_fn):
         """backward_fn(out_grad) -> tuple of grads aligned with inputs (None allowed)."""
@@ -144,12 +145,17 @@ def backward(loss: Variable, tape: Tape) -> dict:
     """Reverse sweep from a scalar loss.
 
     Accumulates dLoss/dVariable into `.grad` of every requires_grad Variable
-    reachable from `loss` and also returns {Variable: gradient array}.
+    reachable from `loss` and also returns {Variable: gradient array}. Each
+    entry leaves the tape as it runs; a second sweep raises GraphError.
     """
     if loss.value.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.swept:
+        raise GraphError("this tape was already swept by backward; record a new one")
+    tape.swept = True
     pending: dict[Variable, np.ndarray] = {loss: np.ones_like(loss.value.data)}
-    for entry in reversed(tape.entries):
+    while tape.entries:
+        entry = tape.entries.pop()  # freed, with its saved state, at the next pop
         out_grad = pending.pop(entry.output, None)
         if out_grad is None:
             continue  # not reachable from the loss

@@ -162,7 +162,8 @@ class Module:
             yield name, getattr(owner, attr)
 
     def load_state(self, tensors: dict):
-        """Assign parameters and buffers by fully qualified name."""
+        """Assign parameters and buffers by fully qualified name; a tensor the
+        model does not name, or of another dtype, is a ConfigError."""
         def take(kind, name, like):
             if name not in tensors:
                 raise ConfigError(f"checkpoint missing {kind} {name}")
@@ -170,8 +171,14 @@ class Module:
             if arr.shape != like.shape:
                 raise ShapeError(f"{name}: checkpoint shape {arr.shape} "
                                  f"!= model shape {like.shape}")
-            return arr.astype(like.dtype, copy=True)
+            if arr.dtype != like.dtype:
+                raise ConfigError(f"{name}: checkpoint dtype {arr.dtype} "
+                                  f"!= model dtype {like.dtype}")
+            return arr.copy()
 
+        named = {name for name, _ in (*self.named_parameters(), *self.named_buffers())}
+        if unknown := sorted(set(tensors) - named):
+            raise ConfigError(f"checkpoint tensors the model does not name: {unknown}")
         for name, var in self.named_parameters():
             var.value = Tensor(take("parameter", name, var.value.data))
             var.zero_grad()

@@ -9,9 +9,11 @@ under each padding mode is directly observable.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,47 @@ def _record(tape, inputs, out, backward_fn):
         tape.record(inputs, out, backward_fn)
 
 
+_pool = None  # the Pool of the innermost `with Pool():`, else None
+
+
+class Pool:
+    """Byte blocks a loop's steps share: inside `with Pool():` the ops take
+    their large per-step arrays from it. A block is handed out again once
+    only the pool refers to it, so nothing that outlives a step may come
+    from one; the blocks go at exit. Outside a pool numpy allocates."""
+
+    def __enter__(self):
+        global _pool
+        self.blocks, self.outer, _pool = [], _pool, self  # blocks ascending by size
+        return self
+
+    def __exit__(self, *exc):
+        global _pool
+        _pool, self.blocks = self.outer, []
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised C-order array in the smallest free block that fits."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        for block in self.blocks:  # a free one is held by the list, `block`, the call
+            if len(block) >= size and sys.getrefcount(block) == 3:
+                break
+        else:
+            bisect.insort(self.blocks, block := np.empty(size, np.uint8), key=len)
+        return np.ndarray(shape, dtype, block)
+
+    def like(self, *arrays, shape=None) -> np.ndarray:
+        """`empty` in the first array's dtype and shape (or `shape`), channel-major
+        when every array is, as numpy's ufuncs pick."""
+        a, shape = arrays[0], shape or arrays[0].shape
+        if a.ndim == 4 and all(b.strides[1] > b.strides[0] for b in arrays):
+            return self.empty((shape[1], shape[0]) + shape[2:], a.dtype).transpose(1, 0, 2, 3)
+        return self.empty(shape, a.dtype)
+
+
+def _empty(shape, dtype) -> np.ndarray:
+    return np.empty(shape, dtype) if _pool is None else _pool.empty(shape, dtype)
+
+
 # ---------------------------------------------------------------------------
 # padding
 
@@ -105,7 +148,8 @@ def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
 def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
     """Constant-pad the two spatial axes in x's memory order: fill, copy x inside."""
     n, c, h, w = xd.shape
-    out = np.empty_like(xd, shape=(n, c, h + 2 * pad, w + 2 * pad))
+    shape = (n, c, h + 2 * pad, w + 2 * pad)
+    out = np.empty_like(xd, shape=shape) if _pool is None else _pool.like(xd, shape=shape)
     out.fill(value)
     out[:, :, pad:pad + h, pad:pad + w] = xd
     return out
@@ -158,7 +202,8 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
     if xd.ndim != 4:
         raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
-    out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1), (x,))
+    out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1,
+                                  out=_pool and _pool.empty((n, c + 1, h, w), xd.dtype)), (x,))
 
     def backward_attach(g):
         return (g[:, :c],)
@@ -195,7 +240,11 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
     # each copied row is a run of wo pixels
     win = np.ndarray((c, kh, kw, count, ho, wo), xd.dtype, buf, start * sn,
                      (sc, sh, sw, sn, s * sh, s * sw))
-    return np.ascontiguousarray(win).reshape(c * kh * kw, count * ho * wo)
+    if _pool is None:
+        return np.ascontiguousarray(win).reshape(c * kh * kw, count * ho * wo)
+    cols = _pool.empty((c * kh * kw, count * ho * wo), xd.dtype)
+    cols.reshape(win.shape)[...] = win
+    return cols
 
 
 def _col2im(dcols, xshape, kh, kw, s, ho, wo):
@@ -222,11 +271,13 @@ def _col2im_rows(wmat, gmat, xshape, kh, kw, ho, wo):
     cout, size, b = len(gmat), c * n * h * w, gmat.itemsize
     gw = gmat.reshape(cout, n, ho * wo)
     if w != wo:
-        gw = np.zeros((cout, n, ho * w), gmat.dtype)
+        gw = _empty((cout, n, ho * w), gmat.dtype)
+        gw.reshape(cout, n * ho, w)[:, :, wo:] = 0
         gw.reshape(cout, n * ho, w)[:, :, :wo] = gmat.reshape(cout, n * ho, wo)
     step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * ho * w * b))
-    dbuf = np.empty((wmat.shape[1], min(step, n) * ho * w), gmat.dtype)
-    flat = np.zeros(size + kw - 1, gmat.dtype)
+    dbuf = _empty((wmat.shape[1], min(step, n) * ho * w), gmat.dtype)
+    flat = _empty((size + kw - 1,), gmat.dtype)
+    flat[...] = 0
     for s0 in range(0, n, step):
         nb = min(step, n - s0)
         d5 = np.matmul(wmat.T, gw[:, s0:s0 + nb].reshape(cout, -1),
@@ -275,9 +326,10 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         # about 3% to the gradcheck suite, whose thousands of small convs
         # each fit one block
         cols = _im2col(xd, kh, kw, s, ho, wo)
-        out_mat = wmat @ cols
+        out_mat = wmat @ cols if _pool is None else np.matmul(
+            wmat, cols, out=_pool.empty((spec.out_channels, n * m), np.result_type(wmat, xd)))
     else:
-        out_mat = np.empty((spec.out_channels, n * m), np.result_type(wmat, xd))
+        out_mat = _empty((spec.out_channels, n * m), np.result_type(wmat, xd))
         for i in range(0, n, step):
             np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, min(step, n - i)),
                       out=out_mat[:, i * m:(i + step) * m])
@@ -345,8 +397,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         if m < 2:
             raise DegenerateBatchError("train-mode batchnorm needs N*H*W >= 2")
         mu = xd.sum(axis=(0, 2, 3)) / m  # a Python-int count keeps f32 in f32
-        xhat = xd - mu[None, :, None, None]
-        out = np.multiply(xhat, xhat)  # the squared deviations, then the output
+        xhat = np.subtract(xd, mu[None, :, None, None], out=_pool and _pool.like(xd))
+        out = np.multiply(xhat, xhat, out=_pool and _pool.like(xhat))  # (x - mu)^2, then out
         var = out.sum(axis=(0, 2, 3)) / m
         inv = 1.0 / np.sqrt(var + spec.eps)
         mom = spec.momentum
@@ -357,7 +409,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
             state.running_var.dtype, copy=False)
     else:
         inv = 1.0 / np.sqrt(state.running_var + spec.eps)
-        xhat = xd - state.running_mean[None, :, None, None]
+        xhat = np.subtract(xd, state.running_mean[None, :, None, None],
+                           out=_pool and _pool.like(xd))
         out = xhat if tape is None else np.empty_like(xhat)  # backward reads xhat
     inv4, gd4 = inv[None, :, None, None], gd[None, :, None, None]
     xhat *= inv4
@@ -366,12 +419,12 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     out = _out_var(out, inputs)
 
     def backward_bn(g):
-        tmp = g * xhat  # scratch for every product with xhat
+        tmp = np.multiply(g, xhat, out=_pool and _pool.like(g, xhat))  # scratch
         dgamma = tmp.sum(axis=(0, 2, 3)) if gamma.requires_grad else None
         dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
         dx = None
         if x.requires_grad and mode == "train":
-            dx = g * gd4  # dxhat, turned into dx in place
+            dx = np.multiply(g, gd4, out=_pool and _pool.like(g))  # dxhat, then dx
             mean_d = dx.sum(axis=(0, 2, 3), keepdims=True) / m
             np.multiply(dx, xhat, out=tmp)
             mean_dx = tmp.sum(axis=(0, 2, 3), keepdims=True) / m
@@ -404,8 +457,9 @@ def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> Tensor:
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.value.data
-    out = _out_var(np.maximum(xd, 0), (x,))
-    _record(tape, (x,), out, lambda g: (g * (xd > 0),))
+    out = _out_var(np.maximum(xd, 0, out=_pool and _pool.like(xd)), (x,))
+    _record(tape, (x,), out,
+            lambda g: (np.multiply(g, xd > 0, out=_pool and _pool.like(g, xd)),))
     return out
 
 
@@ -486,13 +540,16 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         cm, shape = buf is not xd, buf.shape[:2] + (ho, wo)
         flat = buf.reshape(-1)
         left, right = flat[0::2], flat[1::2]
-        pairs = np.maximum(left, right).reshape(-1, 2, wo)
+        pairs = np.maximum(left, right,
+                           out=_pool and _pool.empty(left.shape, buf.dtype)).reshape(-1, 2, wo)
         top, bottom = pairs[:, 0], pairs[:, 1]
-        out_buf = np.maximum(top, bottom).reshape(shape)
+        out_buf = np.maximum(top, bottom,
+                             out=_pool and _pool.empty(top.shape, buf.dtype)).reshape(shape)
         out = _out_var(out_buf.transpose(1, 0, 2, 3) if cm else out_buf, (x,))
         if tape is None or not out.requires_grad:
             return out
-        # the two masks wait for backward as bits, an eighth of their bool bytes
+        # the two masks wait for backward as bits: as bools they would raise a
+        # batch-64 tinyvgg-pc step's tracemalloc peak, which they live across
         left_bits, top_bits = np.packbits(left >= right), np.packbits(top >= bottom)
 
         def backward_rows(g):
@@ -500,10 +557,10 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
             top_wins = np.unpackbits(top_bits, count=out_buf.size).view(bool).reshape(shape)
             g = g.transpose(1, 0, 2, 3) if cm else g
             hit = out_buf == out_buf  # NaN windows get no hit, as in the tap chain
-            gpair = np.empty(shape[:3] + (2, wo), g.dtype)
+            gpair = _empty(shape[:3] + (2, wo), g.dtype)
             np.multiply(g, hit & top_wins, out=gpair[:, :, :, 0])
             np.multiply(g, hit & ~top_wins, out=gpair[:, :, :, 1])
-            dx = np.empty(buf.shape, g.dtype)
+            dx = _empty(buf.shape, g.dtype)
             dflat, gflat = dx.reshape(-1), gpair.reshape(-1)
             np.multiply(gflat, left_wins, out=dflat[0::2])
             np.multiply(gflat, ~left_wins, out=dflat[1::2])

@@ -23,7 +23,7 @@ from .data import (AugmentConfig, Dataset, as_dataset, augment_eval,
 from .errors import (ConfigError, CorruptFileError, NumericError,
                      TrainingDivergedError)
 from .models import Model, ModelSpec, build_model
-from .nn import softmax_cross_entropy
+from .nn import Pool, softmax_cross_entropy
 from .rng import Rng
 
 
@@ -176,10 +176,10 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
              batch_size: int = 128, _pre: np.ndarray | None = None) -> float:
     """Top-1 percentage; argmax ties resolve to the lowest class index.
 
-    Batches of 128 bound the activations: a tinyvgg-pc batch at 32x32 peaks
-    at 14 MiB of allocations, its largest array the 4 MiB first-conv output.
-    The im2col columns no longer grow with the batch, because forward-only
-    convs build them in blocks of about 512 KiB (`nn._COL_BLOCK_BYTES`).
+    Batches of 128 bound the activations; forward-only convs build their
+    im2col columns in blocks of about 512 KiB (`nn._COL_BLOCK_BYTES`). The
+    batches share one `nn.Pool`; for tinyvgg-pc at 32x32 the loop peaks at
+    13.7 MiB of allocations, one forward outside a pool at 10 MiB.
 
     Raises ConfigError on an empty dataset or a batch_size below 1, and
     NumericError on non-finite logits, which argmax would score as class 0.
@@ -191,12 +191,14 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
     ds = as_dataset(images)
     data = _pre if _pre is not None else _eval_batch_array(ds, augment)
     correct = 0
-    for start in range(0, len(ds), batch_size):
-        batch = data[start:start + batch_size]
-        logits = model.forward(Variable(batch), "eval").value.data
-        if not np.isfinite(logits).all():
-            raise NumericError(f"non-finite logits in batch at {start}")
-        correct += int((logits.argmax(axis=1) == ds.labels[start:start + batch_size]).sum())
+    with Pool():
+        for start in range(0, len(ds), batch_size):
+            batch = data[start:start + batch_size]
+            logits = model.forward(Variable(batch), "eval").value.data
+            if not np.isfinite(logits).all():
+                raise NumericError(f"non-finite logits in batch at {start}")
+            correct += int((logits.argmax(axis=1)
+                            == ds.labels[start:start + batch_size]).sum())
     return 100.0 * correct / len(ds)
 
 
@@ -232,24 +234,25 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
             order = rng.child(f"shuffle.{epoch}").permutation(n)
             aug_rng = rng.child(f"augment.{epoch}")
             loss_sum, seen = 0.0, 0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                if augment is None:
-                    batch = train.pixels[idx]
-                else:
-                    batch = np.stack([augment_train(train[i], augment,
-                                                    aug_rng).data for i in idx])
-                tape = Tape()
-                logits = model.forward(Variable(batch), "train", tape, dropout_rng)
-                loss = softmax_cross_entropy(logits, train.labels[idx], tape)
-                loss_val = float(loss.value.data[0])
-                if not np.isfinite(loss_val):
-                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                backward(loss, tape)
-                sgd_step(params, velocity, lr, cfg.momentum, cfg.weight_decay)
-                model.zero_grads()
-                loss_sum += loss_val * len(idx)
-                seen += len(idx)
+            with Pool():  # one per epoch, gone before validation
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    if augment is None:
+                        batch = train.pixels[idx]
+                    else:
+                        batch = np.stack([augment_train(train[i], augment, aug_rng).data
+                                          for i in idx])
+                    tape = Tape()
+                    logits = model.forward(Variable(batch), "train", tape, dropout_rng)
+                    loss = softmax_cross_entropy(logits, train.labels[idx], tape)
+                    loss_val = float(loss.value.data[0])
+                    if not np.isfinite(loss_val):
+                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                    backward(loss, tape)
+                    sgd_step(params, velocity, lr, cfg.momentum, cfg.weight_decay)
+                    model.zero_grads()
+                    loss_sum += loss_val * len(idx)
+                    seen += len(idx)
             val_top1 = evaluate(model, val, augment, _pre=val_pre)
             record = EpochRecord(epoch, loss_sum / seen, val_top1, lr,
                                  time.perf_counter() - t0)

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -204,3 +205,35 @@ def test_rng_child_chain_draws_fixed_bytes():
              np.asarray(r.integers(0, 1000, (6,))), r.permutation(7)]
     digest = hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
     assert digest == "3a0c3702687dbd51d1816246af1f33208ee6af591207dd8d86e27786bd337bad"
+
+
+def _scaled(x, tape):
+    """x * 2 through a backward closure that alone holds its saved array."""
+    scale = np.full(x.shape, 2.0)
+    out = Variable(x.value.data * scale, requires_grad=True)
+    tape.record((x,), out, lambda g: (g * scale,))
+    return out, weakref.ref(scale)
+
+
+def test_backward_frees_each_entry_once_its_closure_has_run():
+    x = Variable(np.ones(3), requires_grad=True)
+    tape = Tape()
+    h = relu(x, tape)  # recorded first, so swept last
+    y, scale_ref = _scaled(h, tape)
+    loss = sum_all(y, tape)
+    first, run_first = tape.entries[0], tape.entries[0].backward_fn
+    dead = []
+    first.backward_fn = lambda g: (dead.append(scale_ref() is None), run_first(g))[1]
+    backward(loss, tape)
+    assert dead == [True] and len(tape) == 0
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_second_backward_on_a_swept_tape_raises():
+    x = Variable(np.ones(3), requires_grad=True)
+    tape = Tape()
+    loss = sum_all(relu(x, tape), tape)
+    backward(loss, tape)
+    with pytest.raises(GraphError, match="already swept"):
+        backward(loss, tape)
+    assert np.array_equal(x.grad, np.ones(3))  # the second call added nothing

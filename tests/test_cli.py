@@ -434,6 +434,32 @@ def test_eval_checkpoint_with_wrong_shaped_running_stat_exits_1(tmp_path, capsys
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda state: state.update({"features.conv9.weight": np.zeros((3, 3), np.float32)}),
+     "checkpoint tensors the model does not name: ['features.conv9.weight']"),
+    (lambda state: state.update({"classifier.fc1.bias":
+                                 state["classifier.fc1.bias"].astype(np.float64)}),
+     "classifier.fc1.bias: checkpoint dtype float64 != model dtype float32"),
+], ids=["unknown-tensor", "f64-tensor"])
+def test_eval_checkpoint_the_model_cannot_take_whole_exits_1(tmp_path, capsys, change,
+                                                              message):
+    from padlab.checkpoint import model_state
+    from padlab.models import ModelSpec, build_model
+    from padlab.rng import Rng
+    from padlab.training import Checkpoint
+    cfg_path, _ = _config(tmp_path)
+    state = model_state(build_model(ModelSpec("tinyvgg", num_classes=2,
+                                              input_size=32), Rng(0)))
+    change(state)
+    ckpt = tmp_path / "extra.ckpt"
+    Checkpoint(0, 50.0, state).save(ckpt)
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--config", str(cfg_path))
+    assert code == 1
+    assert message in err
+    assert out == "" and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -254,6 +254,27 @@ def test_load_state_rejects_wrong_shaped_running_stat():
         model.load_state(state)
 
 
+def test_load_state_names_every_tensor_the_model_does_not_name():
+    model = build_model(ModelSpec("tinyvgg", num_classes=2, input_size=32), Rng(0))
+    state = dict(model_state(model))
+    state["features.conv9.weight"] = np.zeros((3, 3), np.float32)
+    state["head.scale"] = np.ones(1, np.float32)
+    with pytest.raises(ConfigError, match=r"does not name: "
+                       r"\['features.conv9.weight', 'head.scale'\]"):
+        model.load_state(state)
+
+
+@pytest.mark.parametrize("name", ["features.conv1.weight", "features.bn1.running_var"])
+def test_load_state_rejects_a_tensor_of_another_dtype(name):
+    # an f64 tensor used to be cast to the model's f32 without a word
+    model = build_model(ModelSpec("tinyvgg", num_classes=2, input_size=32), Rng(0))
+    state = dict(model_state(model))
+    state[name] = state[name].astype(np.float64)
+    with pytest.raises(ConfigError, match=f"{name}: checkpoint dtype float64 "
+                       "!= model dtype float32"):
+        model.load_state(state)
+
+
 def test_load_state_rejects_missing_running_stat():
     model = build_model(ModelSpec("tinyresnet", num_classes=2, input_size=32), Rng(0))
     state = dict(model_state(model))

@@ -1,15 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tensor, Variable
+from padlab import nn
+from padlab.autodiff import Tape, Tensor, Variable, backward
 from padlab.data import Dataset, gen_border_task
 from padlab.errors import ConfigError, NumericError, TrainingDivergedError
-from padlab.models import ModelSpec, build_model
+from padlab.models import Model, ModelSpec, build_model
 from padlab.rng import Rng
 from padlab.training import (Checkpoint, EpochRecord, RunLog, TrainConfig,
                              epochs_to_threshold, evaluate, lr_at, sgd_step,
@@ -408,3 +410,90 @@ def test_early_stop_caps_epochs():
     assert [r.epoch for r in log.records] == list(range(len(log.records)))
     if best.val_top1 >= 90.0:
         assert log.records[-1].val_top1 >= 90.0
+
+
+# ---------------------------------------------------------------------------
+# memory plan
+
+def test_train_step_peak_stays_under_38_mib():
+    # one batch-64 tinyvgg-pc step, the model build and a 21-image validation:
+    # 40.1 MiB when each step allocated afresh and backward kept every tape
+    # entry to its end, 37.5 MiB with the step's pool and entries freed as run
+    train, val = _small_setup(n=85)
+    assert len(train) == 64
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    tracemalloc.start()
+    try:
+        train_run(spec, TrainConfig(base_lr=0.02, epochs=1, batch_size=64), train, val, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * 2**20
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_pool_allocates_no_block_after_the_first_batch(monkeypatch, family):
+    # every batch of a loop has the same layer shapes (the last one is
+    # smaller), so once the first has run each later array finds a free block
+    counts = {}  # pool -> its block count as each forward starts, then at exit
+    forward, exit_ = Model.forward, nn.Pool.__exit__
+
+    def counting_forward(self, *args, **kwargs):
+        counts.setdefault(nn._pool, []).append(len(nn._pool.blocks))
+        return forward(self, *args, **kwargs)
+
+    def counting_exit(self, *exc):
+        counts[self].append(len(self.blocks))
+        return exit_(self, *exc)
+
+    monkeypatch.setattr(Model, "forward", counting_forward)
+    monkeypatch.setattr(nn.Pool, "__exit__", counting_exit)
+    train, val = _small_setup(n=200)  # 150 / 50: batches of 64, 64 and 22
+    spec = ModelSpec(family, pad_channel=True, num_classes=2, input_size=32)
+    cfg = TrainConfig(base_lr=0.02, epochs=2, batch_size=64)
+    _, _, model = train_run(spec, cfg, train, val, seed=0)
+    evaluate(model, val, batch_size=16)
+    assert None not in counts and nn._pool is None
+    # two epochs and two validations, then the 4-batch evaluate
+    assert [len(c) for c in counts.values()] == [4, 2, 4, 2, 5]
+    for blocks in counts.values():
+        assert blocks[0] == 0 < blocks[1] and set(blocks[1:]) == {blocks[1]}
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_nothing_that_outlives_a_step_sits_in_a_pool_block(family):
+    model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0))
+    batch = np.random.default_rng(1).random((8, 3, 32, 32), dtype=np.float32)
+    velocity = {}
+    with nn.Pool() as pool:
+        tape = Tape()
+        logits = model.forward(Variable(batch), "train", tape, Rng(2))
+        loss = nn.softmax_cross_entropy(logits, np.arange(8) % 2, tape)
+        grads = backward(loss, tape)
+        sgd_step(model.parameters(), velocity, 0.01, 0.9, 1e-4)
+        kept = [logits.value.data, loss.value.data, *grads.values(), *velocity.values(),
+                *(p.grad for p in model.parameters()), *dict(model.named_buffers()).values()]
+        assert pool.blocks and len(grads) == len(velocity) == len(model.parameters())
+        for arr in kept:
+            assert not any(np.shares_memory(arr, block) for block in pool.blocks)
+
+
+def test_evaluate_logits_match_forward_outside_the_pool(monkeypatch):
+    train, val = _small_setup(n=200)
+    spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
+    _, _, model = train_run(spec, TrainConfig(base_lr=0.02, epochs=1, batch_size=64),
+                            train, val, seed=0)
+    seen, forward = [], model.forward
+
+    def recording_forward(batch, mode):
+        logits = forward(batch, mode)
+        seen.append((batch.value.data, logits.value.data.tobytes()))
+        return logits
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    evaluate(model, val, batch_size=16)
+    monkeypatch.undo()
+    assert len(seen) == 4
+    for batch, logits in seen:
+        assert model.forward(Variable(batch), "eval").value.data.tobytes() == logits
