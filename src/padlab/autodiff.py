@@ -166,10 +166,7 @@ def backward(loss: Variable, tape: Tape) -> dict:
             if g.shape != var.value.shape:
                 raise GraphError(
                     f"gradient shape {g.shape} != value shape {var.value.shape}")
-            if var in pending:
-                pending[var] = pending[var] + g
-            else:
-                pending[var] = g
+            pending[var] = pending[var] + g if var in pending else g
     grad_map = {}
     for var, g in pending.items():
         if var.requires_grad:

@@ -85,14 +85,13 @@ _pool = None  # the Pool of the innermost `with Pool():`, else None
 
 
 class Pool:
-    """Byte blocks a loop's steps share: inside `with Pool():` the ops take
-    their large per-step arrays from it. A block is handed out again once
-    only the pool refers to it, so nothing that outlives a step may come
-    from one; the blocks go at exit. Outside a pool numpy allocates."""
+    """Byte blocks a loop's steps share: inside `with Pool():` the ops take their
+    large per-step arrays from it, and a block is handed out again once only the
+    pool refers to it, so nothing that outlives a step may come from one."""
 
     def __enter__(self):
-        global _pool
-        self.blocks, self.outer, _pool = [], _pool, self  # blocks ascending by size
+        global _pool  # blocks ascend by size; blocks[0] has 0 bytes, is never handed out
+        self.blocks, self.outer, _pool = [np.empty(0, np.uint8)], _pool, self
         return self
 
     def __exit__(self, *exc):
@@ -100,26 +99,34 @@ class Pool:
         _pool, self.blocks = self.outer, []
 
     def empty(self, shape, dtype) -> np.ndarray:
-        """An uninitialised C-order array in the smallest free block that fits."""
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        for block in self.blocks:  # a free one is held by the list, `block`, the call
-            if len(block) >= size and sys.getrefcount(block) == 3:
+        """An uninitialised C-order array in the smallest free block that fits.
+        A block is free when only the list holds it, as blocks[0] always is:
+        its count, read on the same line, is the interpreter's count for that."""
+        size, free = max(1, math.prod(shape) * np.dtype(dtype).itemsize), 0
+        for block in self.blocks:
+            refs = sys.getrefcount(block)
+            free = free or refs
+            if refs == free and len(block) >= size:
                 break
         else:
             bisect.insort(self.blocks, block := np.empty(size, np.uint8), key=len)
         return np.ndarray(shape, dtype, block)
 
-    def like(self, *arrays, shape=None) -> np.ndarray:
-        """`empty` in the first array's dtype and shape (or `shape`), channel-major
-        when every array is, as numpy's ufuncs pick."""
-        a, shape = arrays[0], shape or arrays[0].shape
-        if a.ndim == 4 and all(b.strides[1] > b.strides[0] for b in arrays):
-            return self.empty((shape[1], shape[0]) + shape[2:], a.dtype).transpose(1, 0, 2, 3)
-        return self.empty(shape, a.dtype)
-
 
 def _empty(shape, dtype) -> np.ndarray:
     return np.empty(shape, dtype) if _pool is None else _pool.empty(shape, dtype)
+
+
+def _like(*arrays, shape=None) -> np.ndarray:
+    """An uninitialised array in the first array's dtype and shape (or `shape`):
+    np.empty_like's outside a pool; in one, channel-major when every array is,
+    else C order, as numpy's ufuncs pick."""
+    a, shape = arrays[0], shape or arrays[0].shape
+    if _pool is None:
+        return np.empty_like(a, shape=shape)
+    if a.ndim == 4 and all(b.strides[1] > b.strides[0] for b in arrays):
+        return _pool.empty((shape[1], shape[0]) + shape[2:], a.dtype).transpose(1, 0, 2, 3)
+    return _pool.empty(shape, a.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +155,7 @@ def _fold_axis(g: np.ndarray, idx: np.ndarray, axis: int, n: int) -> np.ndarray:
 def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
     """Constant-pad the two spatial axes in x's memory order: fill, copy x inside."""
     n, c, h, w = xd.shape
-    shape = (n, c, h + 2 * pad, w + 2 * pad)
-    out = np.empty_like(xd, shape=shape) if _pool is None else _pool.like(xd, shape=shape)
+    out = _like(xd, shape=(n, c, h + 2 * pad, w + 2 * pad))
     out.fill(value)
     out[:, :, pad:pad + h, pad:pad + w] = xd
     return out
@@ -203,7 +209,7 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
         raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
     out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1,
-                                  out=_pool and _pool.empty((n, c + 1, h, w), xd.dtype)), (x,))
+                                  out=_empty((n, c + 1, h, w), xd.dtype)), (x,))
 
     def backward_attach(g):
         return (g[:, :c],)
@@ -240,9 +246,7 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
     # each copied row is a run of wo pixels
     win = np.ndarray((c, kh, kw, count, ho, wo), xd.dtype, buf, start * sn,
                      (sc, sh, sw, sn, s * sh, s * sw))
-    if _pool is None:
-        return np.ascontiguousarray(win).reshape(c * kh * kw, count * ho * wo)
-    cols = _pool.empty((c * kh * kw, count * ho * wo), xd.dtype)
+    cols = _empty((c * kh * kw, count * ho * wo), xd.dtype)
     cols.reshape(win.shape)[...] = win
     return cols
 
@@ -321,15 +325,14 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     step = n  # the weight gradient reads the columns as one matrix
     if tape is None or not weight.requires_grad:
         step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
+    out_mat = _empty((spec.out_channels, n * m), np.result_type(wmat, xd))
     if step >= n:
         # one GEMM call: running the loop below for a single block added
         # about 3% to the gradcheck suite, whose thousands of small convs
         # each fit one block
         cols = _im2col(xd, kh, kw, s, ho, wo)
-        out_mat = wmat @ cols if _pool is None else np.matmul(
-            wmat, cols, out=_pool.empty((spec.out_channels, n * m), np.result_type(wmat, xd)))
+        np.matmul(wmat, cols, out=out_mat)
     else:
-        out_mat = _empty((spec.out_channels, n * m), np.result_type(wmat, xd))
         for i in range(0, n, step):
             np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, min(step, n - i)),
                       out=out_mat[:, i * m:(i + step) * m])
@@ -397,8 +400,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         if m < 2:
             raise DegenerateBatchError("train-mode batchnorm needs N*H*W >= 2")
         mu = xd.sum(axis=(0, 2, 3)) / m  # a Python-int count keeps f32 in f32
-        xhat = np.subtract(xd, mu[None, :, None, None], out=_pool and _pool.like(xd))
-        out = np.multiply(xhat, xhat, out=_pool and _pool.like(xhat))  # (x - mu)^2, then out
+        xhat = np.subtract(xd, mu[None, :, None, None], out=_pool and _like(xd))
+        out = np.multiply(xhat, xhat, out=_pool and _like(xhat))  # (x - mu)^2, then out
         var = out.sum(axis=(0, 2, 3)) / m
         inv = 1.0 / np.sqrt(var + spec.eps)
         mom = spec.momentum
@@ -410,7 +413,7 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     else:
         inv = 1.0 / np.sqrt(state.running_var + spec.eps)
         xhat = np.subtract(xd, state.running_mean[None, :, None, None],
-                           out=_pool and _pool.like(xd))
+                           out=_pool and _like(xd))
         out = xhat if tape is None else np.empty_like(xhat)  # backward reads xhat
     inv4, gd4 = inv[None, :, None, None], gd[None, :, None, None]
     xhat *= inv4
@@ -419,12 +422,12 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     out = _out_var(out, inputs)
 
     def backward_bn(g):
-        tmp = np.multiply(g, xhat, out=_pool and _pool.like(g, xhat))  # scratch
+        tmp = np.multiply(g, xhat, out=_pool and _like(g, xhat))  # scratch
         dgamma = tmp.sum(axis=(0, 2, 3)) if gamma.requires_grad else None
         dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
         dx = None
         if x.requires_grad and mode == "train":
-            dx = np.multiply(g, gd4, out=_pool and _pool.like(g))  # dxhat, then dx
+            dx = np.multiply(g, gd4, out=_pool and _like(g))  # dxhat, then dx
             mean_d = dx.sum(axis=(0, 2, 3), keepdims=True) / m
             np.multiply(dx, xhat, out=tmp)
             mean_dx = tmp.sum(axis=(0, 2, 3), keepdims=True) / m
@@ -457,9 +460,9 @@ def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> Tensor:
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.value.data
-    out = _out_var(np.maximum(xd, 0, out=_pool and _pool.like(xd)), (x,))
+    out = _out_var(np.maximum(xd, 0, out=_pool and _like(xd)), (x,))
     _record(tape, (x,), out,
-            lambda g: (np.multiply(g, xd > 0, out=_pool and _pool.like(g, xd)),))
+            lambda g: (np.multiply(g, xd > 0, out=_pool and _like(g, xd)),))
     return out
 
 
@@ -540,11 +543,9 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         cm, shape = buf is not xd, buf.shape[:2] + (ho, wo)
         flat = buf.reshape(-1)
         left, right = flat[0::2], flat[1::2]
-        pairs = np.maximum(left, right,
-                           out=_pool and _pool.empty(left.shape, buf.dtype)).reshape(-1, 2, wo)
+        pairs = np.maximum(left, right, out=_empty(left.shape, buf.dtype)).reshape(-1, 2, wo)
         top, bottom = pairs[:, 0], pairs[:, 1]
-        out_buf = np.maximum(top, bottom,
-                             out=_pool and _pool.empty(top.shape, buf.dtype)).reshape(shape)
+        out_buf = np.maximum(top, bottom, out=_empty(top.shape, buf.dtype)).reshape(shape)
         out = _out_var(out_buf.transpose(1, 0, 2, 3) if cm else out_buf, (x,))
         if tape is None or not out.requires_grad:
             return out

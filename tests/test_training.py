@@ -457,7 +457,23 @@ def test_pool_allocates_no_block_after_the_first_batch(monkeypatch, family):
     # two epochs and two validations, then the 4-batch evaluate
     assert [len(c) for c in counts.values()] == [4, 2, 4, 2, 5]
     for blocks in counts.values():
-        assert blocks[0] == 0 < blocks[1] and set(blocks[1:]) == {blocks[1]}
+        assert blocks[0] == 1 < blocks[1] and set(blocks[1:]) == {blocks[1]}
+
+
+def test_pool_never_hands_out_a_block_a_live_array_holds():
+    with nn.Pool() as pool:
+        a = pool.empty((1024,), np.float32)
+        b = pool.empty((1024,), np.float32)
+        view = a[::2]
+        del a
+        c = pool.empty((1024,), np.float32)  # a's block is still held by its view
+        live = [view, b, c]
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(live) for y in live[i + 1:])
+        count = len(pool.blocks)
+        del view, live
+        d = pool.empty((32, 16), np.float64)  # a's block is free now: no new block
+        assert len(pool.blocks) == count
+        assert not np.shares_memory(d, b) and not np.shares_memory(d, c)
 
 
 @pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
