@@ -166,7 +166,10 @@ def backward(loss: Variable, tape: Tape) -> dict:
             if g.shape != var.value.shape:
                 raise GraphError(
                     f"gradient shape {g.shape} != value shape {var.value.shape}")
-            pending[var] = pending[var] + g if var in pending else g
+            if var in pending:
+                pending[var] = pending[var] + g
+            else:
+                pending[var] = g
     grad_map = {}
     for var, g in pending.items():
         if var.requires_grad:

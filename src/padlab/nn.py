@@ -209,7 +209,7 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
         raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
     out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1,
-                                  out=_empty((n, c + 1, h, w), xd.dtype)), (x,))
+                                  out=_pool and _pool.empty((n, c + 1, h, w), xd.dtype)), (x,))
 
     def backward_attach(g):
         return (g[:, :c],)
@@ -547,9 +547,11 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         cm, shape = buf is not xd, buf.shape[:2] + (ho, wo)
         flat = buf.reshape(-1)
         left, right = flat[0::2], flat[1::2]
-        pairs = np.maximum(left, right, out=_empty(left.shape, buf.dtype)).reshape(-1, 2, wo)
+        pairs = np.maximum(left, right,
+                           out=_pool and _pool.empty(left.shape, buf.dtype)).reshape(-1, 2, wo)
         top, bottom = pairs[:, 0], pairs[:, 1]
-        out_buf = np.maximum(top, bottom, out=_empty(top.shape, buf.dtype)).reshape(shape)
+        out_buf = np.maximum(top, bottom,
+                             out=_pool and _pool.empty(top.shape, buf.dtype)).reshape(shape)
         out = _out_var(out_buf.transpose(1, 0, 2, 3) if cm else out_buf, (x,))
         if tape is None or not out.requires_grad:
             return out
