@@ -467,10 +467,10 @@ def test_pool_never_hands_out_a_block_a_live_array_holds():
         view = a[::2]
         del a
         c = pool.empty((1024,), np.float32)  # a's block is still held by its view
-        live = [view, b, c]
-        assert not any(np.shares_memory(x, y) for i, x in enumerate(live) for y in live[i + 1:])
+        for x, y in ((view, b), (view, c), (b, c)):
+            assert not np.shares_memory(x, y)
         count = len(pool.blocks)
-        del view, live
+        del view, x, y
         d = pool.empty((32, 16), np.float64)  # a's block is free now: no new block
         assert len(pool.blocks) == count
         assert not np.shares_memory(d, b) and not np.shares_memory(d, c)
