@@ -10,8 +10,8 @@ best-checkpoint selection; and pooled one-sided t statistics over run groups.
 
 from .autodiff import Tape, Tensor, Variable, backward, fill, grad_check
 from .cost import CostReport, cost_table, count_macs, count_params
-from .data import (AugmentConfig, Dataset, EvalAugment, LabeledImage,
-                   TrainAugment, augment_eval, augment_train, gen_border_task,
+from .data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
+                   augment_eval, augment_train, gen_border_task,
                    identity_augment, load_cifar_binary, save_cifar_binary)
 from .models import FAMILIES, Model, ModelSpec, build_model
 from .nn import (BatchNormSpec, ConvSpec, PaddingMode, attach_pad_channel,

@@ -243,7 +243,7 @@ def cmd_eval(args) -> int:
     exp = load_experiment(args.config)
     model = build_model(exp.spec, Rng(0), init="zeros")
     ckpt = Checkpoint.load(args.checkpoint)
-    ckpt.apply_to(model)
+    model.load_state(ckpt.tensors)
     _, val_images = exp.load_datasets()
     top1 = evaluate(model, val_images, exp.augment)
     print(f"val top-1 {top1!r} (checkpoint recorded {ckpt.val_top1!r} "

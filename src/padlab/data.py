@@ -1,10 +1,10 @@
 """Desk-scale datasets and the train/eval transform pipelines.
 
 A `Dataset` holds n images as one block: `pixels` (n, 3, S, S) with values in
-[0, 1] and `labels` (n,) int64. Slices are Datasets of views and an integer
-index is a `LabeledImage` view, so splitting, batching and evaluation read the
-images in place. A plain list of `LabeledImage` is stacked once by
-`as_dataset` where it enters a function that reads whole datasets.
+[0, 1] and `labels` (n,) int64. It is the one dataset type: the loader, the
+generator, the split and training all pass it. Slices are Datasets of views,
+so splitting, batching and evaluation read the images in place. The
+transforms take and return one (C, S, S) pixel array.
 The on-disk format is the classic CIFAR-10 binary layout (3073-byte records:
 one label byte, then 3072 pixel bytes as R/G/B planes of a 32x32 image), which
 needs no image codec; synthetic datasets serialize to the same layout.
@@ -22,23 +22,15 @@ already has the target size (which keeps identity configs bit-exact).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigError, CorruptFileError, InvalidLabelError, ShapeError
 from .rng import Rng
 
 RECORD_BYTES = 3073
 CIFAR_SIDE = 32
-
-
-@dataclass
-class LabeledImage:
-    pixels: Tensor  # (3, S, S), values in [0, 1]
-    label: int
 
 
 class Dataset:
@@ -66,26 +58,9 @@ class Dataset:
         return len(self.labels)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Dataset(self.pixels[key], self.labels[key])
-        i = operator.index(key)
-        return LabeledImage(Tensor(self.pixels[i]), int(self.labels[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def as_dataset(images) -> Dataset:
-    """`images` itself if it is a Dataset, else its `LabeledImage`s stacked once."""
-    if isinstance(images, Dataset):
-        return images
-    if len(images) == 0:
-        raise ConfigError("dataset is empty")
-    try:
-        pixels = np.stack([img.pixels.data for img in images])
-    except ValueError as exc:
-        raise ShapeError(f"images differ in shape: {exc}") from exc
-    return Dataset(pixels, [img.label for img in images])
+        if not isinstance(key, slice):
+            raise TypeError(f"a Dataset takes a slice, not {type(key).__name__}")
+        return Dataset(self.pixels[key], self.labels[key])
 
 
 @dataclass(frozen=True)
@@ -147,16 +122,15 @@ def load_cifar_binary(path) -> Dataset:
     return Dataset(pixels, labels)
 
 
-def save_cifar_binary(images, path):
-    """Write `images` as 3073-byte records.
+def save_cifar_binary(ds: Dataset, path):
+    """Write `ds` as 3073-byte records.
 
     Pixels are quantized as rint(x * 255), so anything that would not survive
     that (non-finite, outside [0, 1]) is rejected, as are labels outside
     [0, 9], before `path` is opened.
     """
-    if len(images) == 0:
+    if len(ds) == 0:
         raise ConfigError("no images to save")
-    ds = as_dataset(images)
     pixels, n = ds.pixels, len(ds)
     if pixels.shape[1:] != (3, CIFAR_SIDE, CIFAR_SIDE):
         raise ConfigError(
@@ -230,10 +204,9 @@ def _normalize(pixels: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     return (pixels - mean) / std
 
 
-def augment_train(img: LabeledImage, cfg: AugmentConfig, rng: Rng) -> Tensor:
-    """Random resized crop, horizontal flip, channel normalization."""
+def augment_train(pixels: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
+    """(C, H, W) -> (C, S, S): random resized crop, horizontal flip, normalization."""
     t = cfg.train
-    pixels = img.pixels.data
     _, h, w = pixels.shape
     area = h * w
     out = t.random_resized_crop_size
@@ -264,21 +237,13 @@ def augment_train(img: LabeledImage, cfg: AugmentConfig, rng: Rng) -> Tensor:
     if t.horizontal_flip_prob > 0:
         if float(rng.uniform((), 0.0, 1.0, np.float64)) < t.horizontal_flip_prob:
             resized = resized[:, :, ::-1]
-    return Tensor(np.ascontiguousarray(_normalize(resized, cfg)))
+    return np.ascontiguousarray(_normalize(resized, cfg))
 
 
-def augment_eval(img: LabeledImage, cfg: AugmentConfig) -> Tensor:
-    """Deterministic resize, center crop, normalization."""
+def augment_eval(pixels: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
+    """(C, H, W) -> (C, S, S): deterministic resize, center crop, normalization."""
     e = cfg.eval
-    resized = resize_bilinear(img.pixels.data, e.resize_size, e.resize_size)
+    resized = resize_bilinear(pixels, e.resize_size, e.resize_size)
     top = (e.resize_size - e.center_crop_size) // 2
     crop = resized[:, top:top + e.center_crop_size, top:top + e.center_crop_size]
-    return Tensor(np.ascontiguousarray(_normalize(crop, cfg)))
-
-
-def channel_mean_std(images) -> tuple[tuple, tuple]:
-    """Per-channel mean/std over a dataset, for filling in normalization."""
-    pixels = as_dataset(images).pixels
-    mean = pixels.mean(axis=(0, 2, 3))
-    std = pixels.std(axis=(0, 2, 3))
-    return tuple(float(v) for v in mean), tuple(float(v) for v in std)
+    return np.ascontiguousarray(_normalize(crop, cfg))

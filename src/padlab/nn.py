@@ -162,7 +162,7 @@ def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
 
 
 def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
-          value: float = 0.0, tape: Tape | None = None) -> Variable:
+          tape: Tape | None = None) -> Variable:
     """Pad the two spatial axes of an (N, C, H, W) Variable by `pad` on each side."""
     xd = x.value.data
     if xd.ndim != 4:
@@ -173,7 +173,7 @@ def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
         return x
     _, _, h, w = xd.shape
     if mode is PaddingMode.ZERO:
-        out = _out_var(_pad_frame(xd, pad, value), (x,))
+        out = _out_var(_pad_frame(xd, pad, 0.0), (x,))
 
         def backward_zero(g):
             return (g[:, :, pad:-pad, pad:-pad],)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .autodiff import Tape, Variable, backward
 from .checkpoint import model_state, read_tensors, write_tensors
-from .data import (AugmentConfig, Dataset, as_dataset, augment_eval,
-                   augment_train)
+from .data import AugmentConfig, Dataset, augment_eval, augment_train
 from .errors import (ConfigError, CorruptFileError, NumericError,
                      TrainingDivergedError)
 from .models import Model, ModelSpec, build_model
@@ -162,18 +161,9 @@ class Checkpoint:
             meta.append(arr.reshape(-1)[0])
         return cls(int(meta[0]), float(meta[1]), tensors)
 
-    def apply_to(self, model: Model):
-        model.load_state(self.tensors)
 
-
-def _eval_batch_array(ds: Dataset, augment: AugmentConfig | None) -> np.ndarray:
-    if augment is None:
-        return ds.pixels
-    return np.stack([augment_eval(img, augment).data for img in ds])
-
-
-def evaluate(model: Model, images, augment: AugmentConfig | None = None,
-             batch_size: int = 128, _pre: np.ndarray | None = None) -> float:
+def evaluate(model: Model, ds: Dataset, augment: AugmentConfig | None = None,
+             batch_size: int = 128) -> float:
     """Top-1 percentage; argmax ties resolve to the lowest class index.
 
     Batches of 128 bound the activations; forward-only convs build their
@@ -184,16 +174,16 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
     Raises ConfigError on an empty dataset or a batch_size below 1, and
     NumericError on non-finite logits, which argmax would score as class 0.
     """
-    if len(images) == 0:
+    if len(ds) == 0:
         raise ConfigError("evaluate needs a non-empty dataset")
     if batch_size < 1:
         raise ConfigError(f"evaluate needs batch_size >= 1, got {batch_size}")
-    ds = as_dataset(images)
-    data = _pre if _pre is not None else _eval_batch_array(ds, augment)
+    if augment is not None:
+        ds = Dataset(np.stack([augment_eval(p, augment) for p in ds.pixels]), ds.labels)
     correct = 0
     with Pool():
         for start in range(0, len(ds), batch_size):
-            batch = data[start:start + batch_size]
+            batch = ds.pixels[start:start + batch_size]
             logits = model.forward(Variable(batch), "eval").value.data
             if not np.isfinite(logits).all():
                 raise NumericError(f"non-finite logits in batch at {start}")
@@ -202,28 +192,28 @@ def evaluate(model: Model, images, augment: AugmentConfig | None = None,
     return 100.0 * correct / len(ds)
 
 
-def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
+def train_run(spec: ModelSpec, cfg: TrainConfig, train: Dataset, val: Dataset,
               seed: int, augment: AugmentConfig | None = None,
               progress=None) -> tuple[RunLog, Checkpoint, Model]:
     """One seeded run; returns the log, the best checkpoint and the final model.
 
     Without `augment`, batches are gathered from the training pixels and
-    validation reads its pixels in place; lists of `LabeledImage` are stacked
-    once on entry.
+    validation reads its pixels in place. With it, each batch is augmented
+    image by image, and the fixed eval transform is applied to `val` once.
 
     Raises TrainingDivergedError (with .runlog holding the partial log) on
     non-finite loss, gradients, validation logits or best-checkpoint tensors.
     """
-    if len(train_images) == 0 or len(val_images) == 0:
+    if len(train) == 0 or len(val) == 0:
         raise ConfigError("train and validation sets must be non-empty")
-    train, val = as_dataset(train_images), as_dataset(val_images)
+    if augment is not None:
+        val = Dataset(np.stack([augment_eval(p, augment) for p in val.pixels]), val.labels)
     rng = Rng(seed)
     model = build_model(spec, rng.child("init"))
     log = RunLog(spec.spec_id, seed)
     velocity: dict = {}
     params = model.parameters()
     n = len(train)
-    val_pre = _eval_batch_array(val, augment)
 
     best: Checkpoint | None = None
     dropout_rng = rng.child("dropout")
@@ -240,7 +230,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
                     if augment is None:
                         batch = train.pixels[idx]
                     else:
-                        batch = np.stack([augment_train(train[i], augment, aug_rng).data
+                        batch = np.stack([augment_train(train.pixels[i], augment, aug_rng)
                                           for i in idx])
                     tape = Tape()
                     logits = model.forward(Variable(batch), "train", tape, dropout_rng)
@@ -253,7 +243,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
                     model.zero_grads()
                     loss_sum += loss_val * len(idx)
                     seen += len(idx)
-            val_top1 = evaluate(model, val, augment, _pre=val_pre)
+            val_top1 = evaluate(model, val)
             record = EpochRecord(epoch, loss_sum / seen, val_top1, lr,
                                  time.perf_counter() - t0)
             log.records.append(record)
@@ -274,15 +264,13 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train_images, val_images,
     return log, best, model
 
 
-def split_train_val(images, val_fraction: float = 0.2):
-    """Deterministic tail split; generation order is already randomized.
-
-    A Dataset splits into two views of its own memory.
-    """
+def split_train_val(ds: Dataset, val_fraction: float = 0.2):
+    """Deterministic tail split into two views of `ds`'s memory; generation
+    order is already randomized."""
     if not (0 < val_fraction < 1):
         raise ConfigError("val_fraction must be in (0, 1)")
-    n_val = max(1, int(round(len(images) * val_fraction)))
-    return images[:-n_val], images[-n_val:]
+    n_val = max(1, int(round(len(ds) * val_fraction)))
+    return ds[:-n_val], ds[-n_val:]
 
 
 def run_dir(out_dir, spec_id: str, seed: int):

@@ -3,11 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tensor
-from padlab.data import (AugmentConfig, Dataset, EvalAugment, LabeledImage,
-                         TrainAugment, as_dataset, augment_eval, augment_train,
-                         channel_mean_std, gen_border_task, identity_augment,
-                         load_cifar_binary, resize_bilinear, save_cifar_binary)
+from padlab.data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
+                         augment_eval, augment_train, gen_border_task,
+                         identity_augment, load_cifar_binary, resize_bilinear,
+                         save_cifar_binary)
 from padlab.errors import (ConfigError, CorruptFileError, InvalidLabelError,
                            ShapeError)
 from padlab.rng import Rng
@@ -22,9 +21,9 @@ def test_loader_counts_records(tmp_path):
     path.write_bytes(_record(3) + _record(7, 255))
     ds = load_cifar_binary(path)
     assert len(ds) == 2
-    assert ds[0].label == 3 and ds[1].label == 7
-    assert ds[1].pixels.shape == (3, 32, 32)
-    assert np.allclose(ds[1].pixels.data, 1.0)
+    assert ds.labels.tolist() == [3, 7]
+    assert ds.pixels[1].shape == (3, 32, 32)
+    assert np.allclose(ds.pixels[1], 1.0)
 
 
 def test_loader_rejects_truncated(tmp_path):
@@ -58,22 +57,22 @@ def test_roundtrip_bit_exact(tmp_path):
 def test_border_task_determinism_and_balance():
     a = gen_border_task(10_000, 32, Rng(42))
     b = gen_border_task(10_000, 32, Rng(42))
-    assert all(x.label == y.label for x, y in zip(a, b))
-    assert all(x.pixels.data.tobytes() == y.pixels.data.tobytes()
-               for x, y in zip(a[:100], b[:100]))
-    ones = sum(img.label for img in a)
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.pixels[:100].tobytes() == b.pixels[:100].tobytes()
+    ones = int(a.labels.sum())
     assert 0.2 <= ones / len(a) <= 0.8
 
 
 def test_border_labels_match_patch_location():
     # recover each patch position independently and recompute the rule
-    for img in gen_border_task(300, 32, Rng(7)):
-        bright = np.argwhere((img.pixels.data == 1.0).all(axis=0))
+    ds = gen_border_task(300, 32, Rng(7))
+    for pixels, label in zip(ds.pixels, ds.labels):
+        bright = np.argwhere((pixels == 1.0).all(axis=0))
         r, c = bright.min(axis=0)
         r2, c2 = bright.max(axis=0)
         assert (r2 - r, c2 - c) == (2, 2)
         touches = r <= 1 or r2 >= 30 or c <= 1 or c2 >= 30
-        assert img.label == int(touches)
+        assert label == int(touches)
 
 
 def _sha(arr) -> str:
@@ -115,19 +114,17 @@ def test_resize_constant_stays_constant():
 
 def _img(seed=0, size=32, value=None):
     if value is not None:
-        pix = np.full((3, size, size), value, np.float32)
-    else:
-        pix = Rng(seed).uniform((3, size, size))
-    return LabeledImage(Tensor(pix), 0)
+        return np.full((3, size, size), value, np.float32)
+    return Rng(seed).uniform((3, size, size))
 
 
 def test_identity_augment_is_bitexact():
     cfg = identity_augment(32)
     img = _img(3)
     out = augment_train(img, cfg, Rng(1))
-    assert out.data.tobytes() == img.pixels.data.tobytes()
+    assert out.tobytes() == img.tobytes()
     out_eval = augment_eval(img, cfg)
-    assert out_eval.data.tobytes() == img.pixels.data.tobytes()
+    assert out_eval.tobytes() == img.tobytes()
 
 
 def test_flip_is_involution():
@@ -137,8 +134,8 @@ def test_flip_is_involution():
         eval=EvalAugment(32, 32))
     img = _img(4)
     once = augment_train(img, cfg, Rng(0))
-    twice = augment_train(LabeledImage(once, 0), cfg, Rng(0))
-    assert twice.data.tobytes() == img.pixels.data.tobytes()
+    twice = augment_train(once, cfg, Rng(0))
+    assert twice.tobytes() == img.tobytes()
 
 
 def test_normalization_formula():
@@ -148,7 +145,7 @@ def test_normalization_formula():
         normalize_mean=(0.5, 0.25, 0.0),
         normalize_std=(0.25, 0.5, 1.0))
     img = _img(value=0.5)
-    out = augment_eval(img, cfg).data
+    out = augment_eval(img, cfg)
     np.testing.assert_allclose(out[0], 0.0, atol=1e-7)
     np.testing.assert_allclose(out[1], 0.5, atol=1e-7)
     np.testing.assert_allclose(out[2], 0.5, atol=1e-7)
@@ -160,12 +157,12 @@ def test_eval_augment_deterministic_and_shapes():
     a = augment_eval(img, cfg)
     b = augment_eval(img, cfg)
     assert a.shape == (3, 32, 32)
-    assert a.data.tobytes() == b.data.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_eval_augment_constant_stays_constant():
     cfg = AugmentConfig(train=TrainAugment(32), eval=EvalAugment(36, 32))
-    out = augment_eval(_img(value=0.7), cfg).data
+    out = augment_eval(_img(value=0.7), cfg)
     np.testing.assert_allclose(out, 0.7, rtol=1e-6)
 
 
@@ -175,9 +172,9 @@ def test_train_augment_reproducible_stream():
     a = augment_train(img, cfg, Rng(5))
     b = augment_train(img, cfg, Rng(5))
     assert a.shape == (3, 24, 24)
-    assert a.data.tobytes() == b.data.tobytes()
+    assert a.tobytes() == b.tobytes()
     c = augment_train(img, cfg, Rng(6))
-    assert a.data.tobytes() != c.data.tobytes()
+    assert a.tobytes() != c.tobytes()
 
 
 def test_augment_config_guards():
@@ -186,13 +183,6 @@ def test_augment_config_guards():
     with pytest.raises(ConfigError):
         AugmentConfig(train=TrainAugment(32), eval=EvalAugment(32, 32),
                       normalize_std=(1.0, 0.0, 1.0))
-
-
-def test_channel_mean_std():
-    images = [_img(value=0.25), _img(value=0.75)]
-    mean, std = channel_mean_std(images)
-    np.testing.assert_allclose(mean, 0.5)
-    np.testing.assert_allclose(std, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +194,10 @@ def test_dataset_slices_and_items_are_views():
     assert isinstance(part, Dataset) and len(part) == 10
     assert np.shares_memory(part.pixels, ds.pixels)
     assert np.shares_memory(part.labels, ds.labels)
-    img = ds[-1]
-    assert isinstance(img, LabeledImage)
-    assert np.shares_memory(img.pixels.data, ds.pixels)
-    assert img.label == ds.labels[-1] and type(img.label) is int
-    assert ds[np.int64(3)].pixels.data.tobytes() == ds.pixels[3].tobytes()
-    assert [img.label for img in part] == ds.labels[5:15].tolist()
-    with pytest.raises(IndexError):
-        ds[20]
-    with pytest.raises(TypeError):
-        ds[[1, 2]]
+    assert part.labels.tolist() == ds.labels[5:15].tolist()
+    for key in (3, np.int64(3), [1, 2]):
+        with pytest.raises(TypeError, match="takes a slice"):
+            ds[key]
 
 
 @pytest.mark.parametrize("pixels, labels, error, match", [
@@ -228,18 +212,6 @@ def test_dataset_slices_and_items_are_views():
 def test_dataset_rejects_hostile_input(pixels, labels, error, match):
     with pytest.raises(error, match=match):
         Dataset(pixels, labels)
-
-
-def test_as_dataset_stacks_lists_once():
-    images = [_img(1), _img(2)]
-    ds = as_dataset(images)
-    assert ds.pixels.tobytes() == np.stack([i.pixels.data for i in images]).tobytes()
-    assert ds.labels.tolist() == [0, 0]
-    assert as_dataset(ds) is ds
-    with pytest.raises(ConfigError, match="empty"):
-        as_dataset([])
-    with pytest.raises(ShapeError, match="differ in shape"):
-        as_dataset([_img(1), _img(2, size=16)])
 
 
 def test_loader_returns_one_block(tmp_path):
@@ -274,18 +246,16 @@ def test_save_rejects_out_of_range_labels(tmp_path, label):
 def test_save_rejects_empty_and_wrong_size(tmp_path):
     out = tmp_path / "x.bin"
     with pytest.raises(ConfigError):
-        save_cifar_binary([], out)
+        save_cifar_binary(gen_border_task(2, 32, Rng(0))[:0], out)
     with pytest.raises(ConfigError, match="stores"):
         save_cifar_binary(gen_border_task(2, 16, Rng(0)), out)
     assert not out.exists()
 
 
-def test_save_list_and_dataset_write_the_same_bytes(tmp_path):
+def test_save_then_load_is_within_one_quantization_step(tmp_path):
     ds = gen_border_task(6, 32, Rng(3))
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    a = tmp_path / "a.bin"
     save_cifar_binary(ds, a)
-    save_cifar_binary(list(ds), b)
-    assert a.read_bytes() == b.read_bytes()
     back = load_cifar_binary(a)
     assert back.labels.tolist() == ds.labels.tolist()
     np.testing.assert_allclose(back.pixels, ds.pixels, atol=0.5 / 255 + 1e-7)

@@ -9,7 +9,8 @@ import pytest
 
 from padlab import nn
 from padlab.autodiff import Tape, Tensor, Variable, backward
-from padlab.data import Dataset, gen_border_task
+from padlab.data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
+                         gen_border_task)
 from padlab.errors import ConfigError, NumericError, TrainingDivergedError
 from padlab.models import Model, ModelSpec, build_model
 from padlab.rng import Rng
@@ -135,9 +136,8 @@ class _FixedModel:
 
 
 def _dataset(labels, size=8):
-    from padlab.data import LabeledImage
-    return [LabeledImage(Tensor(np.zeros((3, size, size), np.float32)), l)
-            for l in labels]
+    return Dataset(np.zeros((len(labels), 3, size, size), np.float32),
+                   np.array(labels, np.int64))
 
 
 def test_evaluate_perfect_classifier():
@@ -160,7 +160,7 @@ def test_evaluate_three_of_five():
 
 def test_evaluate_empty_dataset_rejected():
     with pytest.raises(ConfigError):
-        evaluate(_FixedModel(np.zeros((1, 2))), [])
+        evaluate(_FixedModel(np.zeros((1, 2))), _dataset([]))
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
@@ -217,14 +217,14 @@ def test_split_fractions():
     train, val = _small_setup(n=100)
     assert len(train) == 75 and len(val) == 25
     with pytest.raises(ConfigError):
-        split_train_val([1, 2, 3], 1.5)
+        split_train_val(train, 1.5)
 
 
 def test_train_run_rejects_empty_validation_set():
     train, _ = _small_setup(n=80)
     spec = ModelSpec("tinyvgg", num_classes=2, input_size=32)
     with pytest.raises(ConfigError, match="must be non-empty"):
-        train_run(spec, TrainConfig(epochs=1), train, [], seed=0)
+        train_run(spec, TrainConfig(epochs=1), train, train[:0], seed=0)
     with pytest.raises(ConfigError, match="must be non-empty"):
         train_run(spec, TrainConfig(epochs=1), train[:0], train, seed=0)
 
@@ -256,18 +256,22 @@ def test_train_run_and_evaluate_read_datasets_in_place(monkeypatch):
     assert (train.pixels.tobytes(), val.pixels.tobytes()) == before
 
 
-def test_dataset_and_list_runs_are_identical(tmp_path):
+def test_validation_in_a_run_applies_the_eval_transform():
+    # train_run applies the eval transform to val once; evaluate applies it
+    # per call. Both must score the final model the same.
     train, val = _small_setup(n=160)
+    augment = AugmentConfig(
+        train=TrainAugment(32, horizontal_flip_prob=0.5, scale=(0.6, 1.0),
+                           aspect=(0.9, 1.1)),
+        eval=EvalAugment(36, 32),
+        normalize_mean=(0.3, 0.3, 0.3), normalize_std=(0.5, 0.5, 0.5))
     spec = ModelSpec("tinyvgg", pad_channel=True, num_classes=2, input_size=32)
-    cfg = TrainConfig(base_lr=0.02, epochs=2, batch_size=32)
-    paths, top1s = [], []
-    for kind, (tr, va) in (("dataset", (train, val)), ("list", (list(train), list(val)))):
-        log, best, model = train_run(spec, cfg, tr, va, seed=4)
-        paths.append(tmp_path / f"{kind}.ckpt")
-        best.save(paths[-1])
-        top1s.append((evaluate(model, va), [r.train_loss for r in log.records]))
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert top1s[0] == top1s[1]
+    cfg = TrainConfig(base_lr=0.02, epochs=3, batch_size=16)
+    log, _, model = train_run(spec, cfg, train, val, seed=1, augment=augment)
+    assert evaluate(model, val, augment) == log.records[-1].val_top1
+    # the raw pixels score otherwise (97.5 against 82.5 here), so a run that
+    # validated them would fail the line above
+    assert evaluate(model, val) != log.records[-1].val_top1
 
 
 def test_train_run_deterministic(tmp_path):
@@ -345,7 +349,7 @@ def test_checkpoint_roundtrip_reproduces_top1(tmp_path):
     assert loaded.epoch == best.epoch
     assert loaded.val_top1 == best.val_top1
     fresh = build_model(spec, Rng(0))
-    loaded.apply_to(fresh)
+    fresh.load_state(loaded.tensors)
     assert evaluate(fresh, val) == best.val_top1
     # byte-exact round trip of the file itself
     path2 = tmp_path / "again.ckpt"
