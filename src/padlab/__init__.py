@@ -8,16 +8,15 @@ flag; exact integer parameter/MAC accounting; seeded SGD training runs with
 best-checkpoint selection; and pooled one-sided t statistics over run groups.
 """
 
-from .autodiff import Tape, Tensor, Variable, backward, fill, grad_check
+from .autodiff import Tape, Variable, backward, grad_check
 from .cost import CostReport, cost_table, count_macs, count_params
 from .data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
                    augment_eval, augment_train, gen_border_task,
                    identity_augment, load_cifar_binary, save_cifar_binary)
 from .models import FAMILIES, Model, ModelSpec, build_model
-from .nn import (BatchNormSpec, ConvSpec, PaddingMode, attach_pad_channel,
-                 batchnorm2d, conv2d, dropout, global_avgpool, kaiming_init,
-                 linear, maxpool2d, pad2d, relu, softmax,
-                 softmax_cross_entropy)
+from .nn import (ConvSpec, PaddingMode, attach_pad_channel, batchnorm2d,
+                 conv2d, dropout, global_avgpool, kaiming_init, linear,
+                 maxpool2d, pad2d, relu, softmax, softmax_cross_entropy)
 from .rng import Rng
 from .stats import (ComparisonReport, RunGroup, load_reference_runs, mean,
                     pooled_t_one_sided, sample_stdev, summarize, t_cdf,

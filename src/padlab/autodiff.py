@@ -1,10 +1,10 @@
-"""Dense tensors and tape-based reverse-mode differentiation.
+"""Variables and tape-based reverse-mode differentiation.
 
-A `Tensor` is an immutable-by-convention dense array of rank 1..4; activations
-have the logical (N, C, H, W) shape in the producing op's memory order. A
-`Variable` wraps a Tensor with an accumulated gradient. Differentiable
-operations append `TapeEntry` records to a `Tape` in execution order, which is
-automatically a topological order, so `backward` is a single reverse sweep.
+A `Variable` holds a dense numpy array of rank 1..4 (`data`) and an
+accumulated gradient; activations have the logical (N, C, H, W) shape in the
+producing op's memory order. Differentiable operations append `TapeEntry`
+records to a `Tape` in execution order, which is automatically a topological
+order, so `backward` is a single reverse sweep.
 
 Gradient accumulation over fan-out is plain summation in recording order.
 An untouched `.grad` is a read-only zero view (`zeros_view`); nothing writes
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, GraphError, NumericError, ShapeError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
-_NP_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _ZERO = bytes(8)  # one f64-sized zero that every zero view reads
 
 
@@ -34,79 +33,32 @@ def zeros_view(shape, dtype) -> np.ndarray:
     return np.ndarray(shape, dtype, _ZERO, 0, (0,) * len(shape))  # positional: cheaper
 
 
-class Tensor:
-    """Dense numeric array, rank 1..4, all dims >= 1, dtype f32 or f64.
-    Shapes are logical; `data` keeps the given array's memory order, uncopied."""
+class Variable:
+    """A dense array plus an accumulated gradient of identical shape.
 
-    __slots__ = ("data",)
+    `data` is the given array, uncopied and in its own memory order: rank
+    1..4, all dims >= 1, f32 or f64 (any other dtype becomes f64)."""
 
-    def __init__(self, data, dtype: str | None = None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(np_dtype(dtype), copy=False)
-        elif arr.dtype not in _NP_TO_TAG:
-            arr = arr.astype(np.float64)
-        if not 1 <= arr.ndim <= 4 or 0 in arr.shape:
-            raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {arr.shape}")
-        self.data = arr
+    __slots__ = ("data", "grad", "requires_grad", "name")
+
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        data = np.asarray(data)
+        if data.dtype not in DTYPES.values():
+            data = data.astype(np.float64)
+        if not 1 <= data.ndim <= 4 or 0 in data.shape:
+            raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {data.shape}")
+        self.data = data
+        self.requires_grad = bool(requires_grad)
+        self.grad = zeros_view(data.shape, data.dtype) if self.requires_grad else None
+        self.name = name
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def dtype(self) -> str:
-        return _NP_TO_TAG[self.data.dtype]
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def astype(self, dtype: str) -> "Tensor":
-        return Tensor(self.data.astype(np_dtype(dtype), copy=False))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-
-def fill(shape, value, dtype: str = "f32") -> Tensor:
-    """Tensor of `shape` with every element equal to `value`."""
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0:
-        raise ShapeError("shape must be non-empty")
-    if any(d < 1 for d in shape):
-        raise ShapeError(f"all dims must be >= 1, got {shape}")
-    return Tensor(np.full(shape, value, dtype=np_dtype(dtype)))
-
-
-class Variable:
-    """A Tensor plus an accumulated gradient of identical shape."""
-
-    __slots__ = ("value", "grad", "requires_grad", "name")
-
-    def __init__(self, value, requires_grad: bool = False, name: str | None = None):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.requires_grad = bool(requires_grad)
-        self.grad = (zeros_view(self.value.data.shape, self.value.data.dtype)
-                     if self.requires_grad else None)
-        self.name = name
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
     def zero_grad(self):
         if self.requires_grad:
-            self.grad = zeros_view(self.value.data.shape, self.value.data.dtype)
+            self.grad = zeros_view(self.data.shape, self.data.dtype)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -148,12 +100,12 @@ def backward(loss: Variable, tape: Tape) -> dict:
     reachable from `loss` and also returns {Variable: gradient array}. Each
     entry leaves the tape as it runs; a second sweep raises GraphError.
     """
-    if loss.value.size != 1:
+    if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape.swept:
         raise GraphError("this tape was already swept by backward; record a new one")
     tape.swept = True
-    pending: dict[Variable, np.ndarray] = {loss: np.ones_like(loss.value.data)}
+    pending: dict[Variable, np.ndarray] = {loss: np.ones_like(loss.data)}
     while tape.entries:
         entry = tape.entries.pop()  # freed, with its saved state, at the next pop
         out_grad = pending.pop(entry.output, None)
@@ -163,9 +115,9 @@ def backward(loss: Variable, tape: Tape) -> dict:
         for var, g in zip(entry.inputs, in_grads):
             if g is None or not var.requires_grad:
                 continue
-            if g.shape != var.value.shape:
+            if g.shape != var.data.shape:
                 raise GraphError(
-                    f"gradient shape {g.shape} != value shape {var.value.shape}")
+                    f"gradient shape {g.shape} != value shape {var.data.shape}")
             if var in pending:
                 pending[var] = pending[var] + g
             else:
@@ -174,35 +126,36 @@ def backward(loss: Variable, tape: Tape) -> dict:
     for var, g in pending.items():
         if var.requires_grad:
             if var.grad is None:
-                var.grad = zeros_view(var.value.data.shape, var.value.data.dtype)
+                var.grad = zeros_view(var.data.shape, var.data.dtype)
             var.grad = var.grad + g
             grad_map[var] = g
     return grad_map
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+def grad_check(f, x: np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
     `f(var, tape)` must build a scalar Variable from `var` using tape-recorded
-    ops and be deterministic across calls. `x` must be f64; f32 differences
-    are too noisy for tight tolerances.
+    ops and be deterministic across calls. `x` must be an f64 array; f32
+    differences are too noisy for tight tolerances.
     """
-    if x.dtype != "f64":
-        raise NumericError("grad_check requires an f64 input")
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        raise NumericError("grad_check requires an f64 array input")
     var = Variable(x.copy(), requires_grad=True)
     tape = Tape()
     out = f(var, tape)
     backward(out, tape)
     analytic = var.grad.copy()
 
-    flat = var.value.data.reshape(-1)
+    probe = Variable(var.data)  # every difference forward reads the perturbed buffer
+    flat = var.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = float(f(Variable(var.value), Tape()).value.data.reshape(-1)[0])
+        hi = float(f(probe, Tape()).data.reshape(-1)[0])
         flat[i] = orig - eps
-        lo = float(f(Variable(var.value), Tape()).value.data.reshape(-1)[0])
+        lo = float(f(probe, Tape()).data.reshape(-1)[0])
         flat[i] = orig
         numeric[i] = (hi - lo) / (2.0 * eps)
     if not (np.all(np.isfinite(numeric)) and np.all(np.isfinite(analytic))):

@@ -90,6 +90,6 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 
 def model_state(model) -> dict[str, np.ndarray]:
-    state = {name: var.value.data for name, var in model.named_parameters()}
+    state = {name: var.data for name, var in model.named_parameters()}
     state.update({name: buf for name, buf in model.named_buffers()})
     return state

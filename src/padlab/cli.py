@@ -19,8 +19,8 @@ from . import stats
 from .cost import COST_FAMILIES, cost_table
 from .data import (AugmentConfig, EvalAugment, TrainAugment, gen_border_task,
                    load_cifar_binary, save_cifar_binary)
-from .errors import (ConfigError, DataError, NumericError, PadlabError,
-                     TrainingDivergedError)
+from .errors import (ConfigError, CorruptFileError, DataError, NumericError,
+                     PadlabError, TrainingDivergedError)
 from .models import FAMILIES, ModelSpec, build_model, normalize_family
 from .nn import PaddingMode
 from .rng import Rng
@@ -151,9 +151,11 @@ class Experiment:
 
 def load_experiment(path) -> Experiment:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     return Experiment(raw)
@@ -255,7 +257,11 @@ def _best_top1_from_glob(pattern: str) -> list[tuple[str, float]]:
     paths = sorted(globmod.glob(pattern, recursive=True))
     out = []
     for p in paths:
-        log = RunLog.from_csv(Path(p).read_text())
+        try:
+            text = Path(p).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError(f"{p}: run log is not UTF-8 text: {exc}")
+        log = RunLog.from_csv(text)
         out.append((log.spec_id, log.best_top1()))
     return out
 

@@ -28,7 +28,7 @@ COST_FAMILIES = ("vgg11-bn", "vgg16-bn", "resnet18", "resnet50")
 
 
 def count_params(model: Model) -> int:
-    return sum(var.value.size for _, var in model.named_parameters())
+    return sum(var.data.size for _, var in model.named_parameters())
 
 
 def count_macs(model: Model) -> int:

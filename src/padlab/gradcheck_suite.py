@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, Variable, grad_check
+from .autodiff import Variable, grad_check
 from .errors import ConfigError
 from .models import ModelSpec, build_model
-from .nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
-                 adaptive_avgpool2d, batchnorm2d, conv2d, dropout, flatten,
-                 global_avgpool, linear, maxpool2d, mul, relu, softmax,
-                 softmax_cross_entropy, sum_all)
+from .nn import (BatchNormState, ConvSpec, PaddingMode, adaptive_avgpool2d,
+                 batchnorm2d, conv2d, dropout, flatten, global_avgpool, linear,
+                 maxpool2d, mul, relu, softmax, softmax_cross_entropy, sum_all)
 from .rng import Rng
 
 EPS = 1e-5
@@ -27,9 +26,9 @@ def _projected(op):
 
     def f(var, tape):
         out = op(var, tape)
-        shape = out.value.data.shape
+        shape = out.data.shape
         if shape not in cache:
-            cache[shape] = Variable(Tensor(Rng(999).normal(shape, dtype=np.float64)))
+            cache[shape] = Variable(Rng(999).normal(shape, dtype=np.float64))
         return sum_all(mul(out, cache[shape], tape), tape)
 
     return f
@@ -38,8 +37,8 @@ def _projected(op):
 def _conv_case(mode: PaddingMode):
     def make(trial):
         rng = Rng(100 + trial)
-        w = Variable(Tensor(rng.normal((3, 4, 3, 3), dtype=np.float64)))
-        b = Variable(Tensor(rng.normal((3,), dtype=np.float64)))
+        w = Variable(rng.normal((3, 4, 3, 3), dtype=np.float64))
+        b = Variable(rng.normal((3,), dtype=np.float64))
         spec = ConvSpec(4, 3, 3, 3, stride=1 + trial % 2, pad=1, padding_mode=mode)
         return lambda v, tape: conv2d(v, w, b, spec, tape=tape)
 
@@ -49,13 +48,12 @@ def _conv_case(mode: PaddingMode):
 def _bn_case():
     def make(trial):
         rng = Rng(200 + trial)
-        gamma = Variable(Tensor(rng.normal((4,), dtype=np.float64) + 1.0))
-        beta = Variable(Tensor(rng.normal((4,), dtype=np.float64)))
-        spec = BatchNormSpec(4)
+        gamma = Variable(rng.normal((4,), dtype=np.float64) + 1.0)
+        beta = Variable(rng.normal((4,), dtype=np.float64))
 
         def f(v, tape):
             return batchnorm2d(v, gamma, beta, BatchNormState(4, np.float64),
-                               spec, "train", tape=tape)
+                               "train", tape=tape)
         return f
 
     return make, (2, 4, 6, 6)
@@ -100,8 +98,8 @@ def suite_cases():
 
     def linear_make(trial):
         rng = Rng(300 + trial)
-        w = Variable(Tensor(rng.normal((5, 64), dtype=np.float64)))
-        b = Variable(Tensor(rng.normal((5,), dtype=np.float64)))
+        w = Variable(rng.normal((5, 64), dtype=np.float64))
+        b = Variable(rng.normal((5,), dtype=np.float64))
         return lambda v, t: linear(flatten(v, t), w, b, t)
 
     cases.append(("linear", linear_make, (2, 2, 4, 8)))
@@ -135,10 +133,9 @@ def run_suite(trials: int = 3):
     for name, make, shape in suite_cases():
         worst = 0.0
         for trial in range(trials):
-            x = Tensor(Rng(1000 + trial).normal(shape, dtype=np.float64))
+            x = Rng(1000 + trial).normal(shape, dtype=np.float64)
             if name.startswith("relu"):
-                d = x.data
-                x = Tensor(np.where(np.abs(d) < 1e-3, 0.1, d))
+                x = np.where(np.abs(x) < 1e-3, 0.1, x)
             f = make(trial)
             loss_fn = f if name in _NO_PROJECTION else _projected(f)
             worst = max(worst, grad_check(loss_fn, x, eps=EPS))

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, Variable, zeros_view
+from .autodiff import Tape, Variable, zeros_view
 from .errors import (ConfigError, GeometryError, IncompatiblePaddingError,
                      ShapeError)
-from .nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
-                 adaptive_avgpool2d, add, attach_pad_channel, batchnorm2d,
-                 conv2d, dropout, flatten, global_avgpool, kaiming_init,
-                 linear, maxpool2d, relu)
+from .nn import (BatchNormState, ConvSpec, PaddingMode, adaptive_avgpool2d,
+                 add, attach_pad_channel, batchnorm2d, conv2d, dropout,
+                 flatten, global_avgpool, kaiming_init, linear, maxpool2d,
+                 relu)
 from .rng import Rng
 
 FAMILIES = ("vgg11-bn", "vgg16-bn", "resnet18", "resnet50", "tinyvgg", "tinyresnet")
@@ -129,8 +129,8 @@ class Module:
         self._params: dict[str, Variable] = {}
         self._children: dict[str, Module] = dict(children)
 
-    def add_param(self, name: str, tensor: Tensor) -> Variable:
-        var = Variable(tensor, requires_grad=True, name=name)
+    def add_param(self, name: str, data: np.ndarray) -> Variable:
+        var = Variable(data, requires_grad=True, name=name)
         self._params[name] = var
         return var
 
@@ -180,7 +180,7 @@ class Module:
         if unknown := sorted(set(tensors) - named):
             raise ConfigError(f"checkpoint tensors the model does not name: {unknown}")
         for name, var in self.named_parameters():
-            var.value = Tensor(take("parameter", name, var.value.data))
+            var.data = take("parameter", name, var.data)
             var.zero_grad()
         for name, owner, attr in self._buffer_slots():
             setattr(owner, attr, take("buffer", name, getattr(owner, attr)))
@@ -200,9 +200,9 @@ class Layer(Module):
         return ctx.layer(self, x)
 
 
-def _weight(shape, rng: Rng, init: str) -> Tensor:
+def _weight(shape, rng: Rng, init: str) -> np.ndarray:
     if init == "zeros":  # structure only: a read-only view, trainable once loaded
-        return Tensor(zeros_view(shape, np.float32))
+        return zeros_view(shape, np.float32)
     return kaiming_init(shape, rng.child("weight"))
 
 
@@ -222,8 +222,7 @@ class Conv2d(Layer):
         self.weight = self.add_param("weight", _weight(shape, rng, init))
         self.bias = None
         if spec.bias:
-            self.bias = self.add_param(
-                "bias", Tensor(np.zeros(spec.out_channels, np.float32)))
+            self.bias = self.add_param("bias", np.zeros(spec.out_channels, np.float32))
 
     def op(self, x, ctx):
         return conv2d(x, self.weight, self.bias, self.spec, tape=ctx.tape)
@@ -234,7 +233,7 @@ class Conv2d(Layer):
         ho, wo = _out_hw(h, w, s.kernel_h, s.kernel_w, s.stride, s.pad, "conv", name)
         out_elems = s.out_channels * ho * wo
         macs = s.kernel_h * s.kernel_w * s.in_channels * out_elems
-        params = self.weight.value.size
+        params = self.weight.data.size
         if self.bias is not None:
             macs += out_elems
             params += s.out_channels
@@ -242,16 +241,14 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, num_features: int, dtype=np.float32):
+    def __init__(self, num_features: int):
         super().__init__()
-        self.spec = BatchNormSpec(num_features)
-        self.gamma = self.add_param("gamma", Tensor(np.ones(num_features, dtype)))
-        self.beta = self.add_param("beta", Tensor(np.zeros(num_features, dtype)))
-        self.state = BatchNormState(num_features, dtype)
+        self.gamma = self.add_param("gamma", np.ones(num_features, np.float32))
+        self.beta = self.add_param("beta", np.zeros(num_features, np.float32))
+        self.state = BatchNormState(num_features)
 
     def op(self, x, ctx):
-        return batchnorm2d(x, self.gamma, self.beta, self.state, self.spec,
-                           ctx.mode, tape=ctx.tape)
+        return batchnorm2d(x, self.gamma, self.beta, self.state, ctx.mode, tape=ctx.tape)
 
     def cost(self, chw, name):
         return chw, 2 * chw[0], 2 * math.prod(chw)
@@ -328,15 +325,15 @@ class Linear(Layer):
         super().__init__()
         self.weight = self.add_param(
             "weight", _weight((out_features, in_features), rng, init))
-        self.bias = self.add_param("bias", Tensor(np.zeros(out_features, np.float32)))
+        self.bias = self.add_param("bias", np.zeros(out_features, np.float32))
 
     def op(self, x, ctx):
         return linear(x, self.weight, self.bias, tape=ctx.tape)
 
     def cost(self, chw, name):
         (f,) = chw
-        o = self.weight.value.shape[0]
-        return (o,), self.weight.value.size + o, f * o + o
+        o = self.weight.data.shape[0]
+        return (o,), self.weight.data.size + o, f * o + o
 
 
 class Residual(Module):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, Variable, np_dtype
+from .autodiff import Tape, Variable, np_dtype
 from .errors import (DegenerateBatchError, GeometryError, InvalidLabelError,
                      InvalidPadError, ShapeError)
 from .rng import Rng
@@ -52,26 +52,11 @@ class ConvSpec:
             raise InvalidPadError("pad must be non-negative")
 
 
-@dataclass(frozen=True)
-class BatchNormSpec:
-    num_features: int
-    eps: float = 1e-5
-    momentum: float = 0.1
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ShapeError("eps must be > 0")
-        if not (0 < self.momentum <= 1):
-            raise ShapeError("momentum must be in (0, 1]")
-
-
 def _out_var(data, inputs):
     if not 1 <= data.ndim <= 4 or 0 in data.shape:
         raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {data.shape}")
-    value = Tensor.__new__(Tensor)  # op outputs are f32/f64 already; keep their order
-    value.data = data
-    out = Variable.__new__(Variable)  # no .grad buffer: backward() only fills leaves
-    out.value, out.grad, out.name = value, None, None
+    out = Variable.__new__(Variable)  # op outputs are f32/f64 already; keep their order
+    out.data, out.grad, out.name = data, None, None  # no .grad: backward() only fills leaves
     out.requires_grad = any([v.requires_grad for v in inputs])
     return out
 
@@ -164,7 +149,7 @@ def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
 def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
           tape: Tape | None = None) -> Variable:
     """Pad the two spatial axes of an (N, C, H, W) Variable by `pad` on each side."""
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"pad2d expects rank 4, got {xd.shape}")
     if pad < 0:
@@ -204,7 +189,7 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
     keeps it 1 everywhere, which defeats the marker; model builders reject
     that combination.
     """
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
@@ -303,7 +288,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     Padding per spec.pad / spec.padding_mode is applied first as a separate
     pad2d op; the core here always runs on the already-padded tensor.
     """
-    xd, wd = x.value.data, weight.value.data
+    xd, wd = x.data, weight.data
     if xd.ndim != 4:
         raise ShapeError(f"conv2d expects rank 4, got {xd.shape}")
     if xd.shape[1] != spec.in_channels:
@@ -313,7 +298,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         raise ShapeError(f"weight shape {wd.shape} does not match spec")
     if spec.pad:
         x = pad2d(x, spec.pad, spec.padding_mode, tape=tape)
-        xd = x.value.data
+        xd = x.data
     n, c, h, w = xd.shape
     kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
     ho = (h - kh) // s + 1
@@ -341,7 +326,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
             np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, min(step, n - i)),
                       out=out_mat[:, i * m:(i + step) * m])
     if bias is not None:
-        out_mat += bias.value.data[:, None]
+        out_mat += bias.data[:, None]
     out_data = out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _out_var(out_data, inputs)
@@ -372,6 +357,9 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
 # ---------------------------------------------------------------------------
 # batch normalisation
 
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # every BatchNorm's variance floor and running-stat weight
+
+
 class BatchNormState:
     """Running statistics owned by a single training run."""
 
@@ -381,22 +369,21 @@ class BatchNormState:
 
 
 def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
-                state: BatchNormState, spec: BatchNormSpec, mode: str,
-                tape: Tape | None = None) -> Variable:
-    """Per-channel (x - mean) / sqrt(var + eps) * gamma + beta.
+                state: BatchNormState, mode: str, tape: Tape | None = None) -> Variable:
+    """Per-channel (x - mean) / sqrt(var + BN_EPS) * gamma + beta.
 
     Train mode uses batch statistics (biased variance) and updates the running
-    statistics in `state` with `momentum`; eval mode uses the running ones.
+    statistics in `state` with BN_MOMENTUM; eval mode uses the running ones.
     Steps write into arrays this op owns, in the order of the plain
     expressions, so the bytes are theirs with fewer full-size temporaries.
     """
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
-    if c != spec.num_features:
-        raise ShapeError(f"input has {c} channels, spec expects {spec.num_features}")
-    gd = gamma.value.data
+    gd = gamma.data
+    if c != len(gd):
+        raise ShapeError(f"input has {c} channels, gamma has {len(gd)}")
     inputs = (x, gamma, beta)
 
     if mode == "train":
@@ -407,22 +394,22 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         xhat = np.subtract(xd, mu[None, :, None, None], out=_pool and _like(xd))
         out = np.multiply(xhat, xhat, out=_pool and _like(xhat))  # (x - mu)^2, then out
         var = out.sum(axis=(0, 2, 3)) / m
-        inv = 1.0 / np.sqrt(var + spec.eps)
-        mom = spec.momentum
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        mom = BN_MOMENTUM
         state.running_mean = ((1 - mom) * state.running_mean + mom * mu).astype(
             state.running_mean.dtype, copy=False)  # a fresh array already
         unbiased = var * (m / (m - 1))
         state.running_var = ((1 - mom) * state.running_var + mom * unbiased).astype(
             state.running_var.dtype, copy=False)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + spec.eps)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = np.subtract(xd, state.running_mean[None, :, None, None],
                            out=_pool and _like(xd))
         out = xhat if tape is None else np.empty_like(xhat)  # backward reads xhat
     inv4, gd4 = inv[None, :, None, None], gd[None, :, None, None]
     xhat *= inv4
     np.multiply(xhat, gd4, out=out)
-    out += beta.value.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
     out = _out_var(out, inputs)
 
     def backward_bn(g):
@@ -450,20 +437,20 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
 # ---------------------------------------------------------------------------
 # initialisation
 
-def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> Tensor:
+def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> np.ndarray:
     """Normal(0, 2 / fan_in) weights; fan_in is the product of non-leading dims."""
     shape = tuple(int(d) for d in shape)
     if len(shape) < 2 or any(d < 1 for d in shape):
         raise ShapeError(f"bad weight shape {shape}")
     std = float(np.sqrt(2.0 / math.prod(shape[1:])))
-    return Tensor(rng.normal(shape, std=std, dtype=np_dtype(dtype)))
+    return rng.normal(shape, std=std, dtype=np_dtype(dtype))
 
 
 # ---------------------------------------------------------------------------
 # pointwise and reduction layers
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
-    xd = x.value.data
+    xd = x.data
     out = _out_var(np.maximum(xd, 0, out=_pool and _like(xd)), (x,))
     _record(tape, (x,), out,
             lambda g: (np.multiply(g, xd > 0, out=_pool and _like(g, xd)),))
@@ -471,7 +458,7 @@ def relu(x: Variable, tape: Tape | None = None) -> Variable:
 
 
 def add(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
-    ad, bd = a.value.data, b.value.data
+    ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
     out = _out_var(ad + bd, (a, b))
@@ -480,7 +467,7 @@ def add(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
 
 
 def mul(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
-    ad, bd = a.value.data, b.value.data
+    ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"mul shape mismatch: {ad.shape} vs {bd.shape}")
     out = _out_var(ad * bd, (a, b))
@@ -489,7 +476,7 @@ def mul(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
 
 
 def sum_all(x: Variable, tape: Tape | None = None) -> Variable:
-    xd = x.value.data
+    xd = x.data
     out = _out_var(xd.sum().reshape(1), (x,))
     _record(tape, (x,), out,
             lambda g: (np.full(xd.shape, g.reshape(()), dtype=xd.dtype),))
@@ -497,7 +484,7 @@ def sum_all(x: Variable, tape: Tape | None = None) -> Variable:
 
 
 def mean_all(x: Variable, tape: Tape | None = None) -> Variable:
-    xd = x.value.data
+    xd = x.data
     out = _out_var(xd.mean().reshape(1), (x,))
     _record(tape, (x,), out,
             lambda g: (np.full(xd.shape, g.reshape(()) / xd.size, dtype=xd.dtype),))
@@ -505,7 +492,7 @@ def mean_all(x: Variable, tape: Tape | None = None) -> Variable:
 
 
 def flatten(x: Variable, tape: Tape | None = None) -> Variable:
-    xd = x.value.data
+    xd = x.data
     out = _out_var(xd.reshape(xd.shape[0], -1), (x,))
 
     def backward_flatten(g):
@@ -521,7 +508,7 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
               tape: Tape | None = None) -> Variable:
     """Max over kernel x kernel windows; padded cells never win, ties go to the first.
     pad is at most kernel // 2, so every window holds a real cell."""
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"maxpool2d expects rank 4, got {xd.shape}")
     if kernel < 1 or stride < 1:
@@ -602,7 +589,7 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
 
 def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
     """Mean over the spatial axes: (N, C, H, W) -> (N, C)."""
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"global_avgpool expects rank 4, got {xd.shape}")
     _, _, h, w = xd.shape
@@ -615,7 +602,7 @@ def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
 def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
                        tape: Tape | None = None) -> Variable:
     """Average pooling to a fixed output size using proportional bins."""
-    xd = x.value.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"adaptive_avgpool2d expects rank 4, got {xd.shape}")
     n, c, h, w = xd.shape
@@ -643,12 +630,12 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
 def linear(x: Variable, weight: Variable, bias: Variable | None,
            tape: Tape | None = None) -> Variable:
     """x (N, F) @ weight (O, F)^T + bias."""
-    xd, wd = x.value.data, weight.value.data
+    xd, wd = x.data, weight.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(f"linear shapes incompatible: {xd.shape} vs {wd.shape}")
     out_mat = xd @ wd.T
     if bias is not None:
-        out_mat = out_mat + bias.value.data
+        out_mat = out_mat + bias.data
     inputs = (x, weight) if bias is None else (x, weight, bias)
     out = _out_var(out_mat, inputs)
 
@@ -673,7 +660,7 @@ def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
         return x
     if rng is None:
         raise ShapeError("train-mode dropout needs an Rng")
-    xd = x.value.data
+    xd = x.data
     keep = rng.uniform(xd.shape, dtype=np.float64) >= p
     mask = keep.astype(xd.dtype) / (1.0 - p)
     out = _out_var(xd * mask, (x,))
@@ -683,7 +670,7 @@ def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
 
 def softmax(x: Variable, tape: Tape | None = None) -> Variable:
     """Row-wise softmax over the last axis of an (N, K) Variable."""
-    z = x.value.data - x.value.data.max(axis=-1, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
     out = _out_var(p, (x,))
@@ -695,7 +682,7 @@ def softmax(x: Variable, tape: Tape | None = None) -> Variable:
 def softmax_cross_entropy(logits: Variable, labels: np.ndarray,
                           tape: Tape | None = None) -> Variable:
     """Mean over the batch of -log softmax(logits)[label]; returns shape (1,)."""
-    ld = logits.value.data
+    ld = logits.data
     if ld.ndim != 2:
         raise ShapeError(f"logits must be (N, K), got {ld.shape}")
     labels = np.asarray(labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,11 +71,11 @@ def sgd_step(params, velocity: dict, lr: float, momentum: float,
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient in {p.name}")
         if weight_decay:
-            g = g + weight_decay * p.value.data
+            g = g + weight_decay * p.data
         v = velocity.get(p)
         v = g if v is None else momentum * v + g
         velocity[p] = v
-        p.value.data -= (lr * v).astype(p.value.data.dtype, copy=False)
+        p.data -= (lr * v).astype(p.data.dtype, copy=False)
 
 
 @dataclass
@@ -110,10 +111,10 @@ class RunLog:
         try:
             log = cls(rows[0]["spec_id"], int(rows[0]["seed"]))
             for row in rows:
-                log.records.append(EpochRecord(
-                    int(row["epoch"]), float(row["train_loss"]),
-                    float(row["val_top1"]), float(row["lr"]),
-                    float(row["wall_seconds"])))
+                nums = [float(row[k]) for k in ("train_loss", "val_top1", "lr", "wall_seconds")]
+                if not all(map(math.isfinite, nums)):
+                    raise CorruptFileError(f"run log holds a non-finite number: {row}")
+                log.records.append(EpochRecord(int(row["epoch"]), *nums))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"run log is not {cls.CSV_HEADER}: {exc!r}") from exc
         return log
@@ -184,7 +185,7 @@ def evaluate(model: Model, ds: Dataset, augment: AugmentConfig | None = None,
     with Pool():
         for start in range(0, len(ds), batch_size):
             batch = ds.pixels[start:start + batch_size]
-            logits = model.forward(Variable(batch), "eval").value.data
+            logits = model.forward(Variable(batch), "eval").data
             if not np.isfinite(logits).all():
                 raise NumericError(f"non-finite logits in batch at {start}")
             correct += int((logits.argmax(axis=1)
@@ -235,7 +236,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train: Dataset, val: Dataset,
                     tape = Tape()
                     logits = model.forward(Variable(batch), "train", tape, dropout_rng)
                     loss = softmax_cross_entropy(logits, train.labels[idx], tape)
-                    loss_val = float(loss.value.data[0])
+                    loss_val = float(loss.data[0])
                     if not np.isfinite(loss_val):
                         raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                     backward(loss, tape)

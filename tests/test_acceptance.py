@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tensor, Variable
+from padlab.autodiff import Variable
 from padlab.cli import main as cli_main
 from padlab.cost import cost_table
 from padlab.errors import IncompatiblePaddingError
@@ -99,15 +99,15 @@ def test_criterion_4_pad_indicator_property():
         c = int(rng.integers(1, 5))
         h = int(rng.integers(5, 12))
         w = int(rng.integers(5, 12))
-        x = Variable(Tensor(rng.uniform((n, c, h, w))))
+        x = Variable(rng.uniform((n, c, h, w)))
         for pad in (1, 2, 3):
-            out = pad2d(attach_pad_channel(x), pad, PaddingMode.ZERO).value.data
+            out = pad2d(attach_pad_channel(x), pad, PaddingMode.ZERO).data
             indicator = out[:, c]
             expected = np.zeros_like(indicator)
             expected[:, pad:-pad, pad:-pad] = 1.0
             assert np.array_equal(indicator, expected)
             assert out[:, :c, pad:-pad, pad:-pad].tobytes() == \
-                x.value.data.tobytes()
+                x.data.tobytes()
     for mode in (PaddingMode.REFLECT, PaddingMode.REPLICATE):
         with pytest.raises(IncompatiblePaddingError):
             build_model(ModelSpec("tinyresnet", pad_channel=True, num_classes=2,
@@ -121,14 +121,14 @@ def test_criterion_4_pad_indicator_property():
 def test_criterion_5_subsumption_construction():
     t0 = time.perf_counter()
     rng = Rng(55)
-    x = Variable(Tensor(rng.uniform((2, 3, 9, 7))))
-    zero_w = Variable(Tensor(np.zeros((1, 3, 3, 3), np.float32)))
-    one_b = Variable(Tensor(np.ones(1, np.float32)))
+    x = Variable(rng.uniform((2, 3, 9, 7)))
+    zero_w = Variable(np.zeros((1, 3, 3, 3), np.float32))
+    one_b = Variable(np.ones(1, np.float32))
     feat = relu(conv2d(x, zero_w, one_b, ConvSpec(3, 1, 3, 3, pad=1)))
-    constructed = pad2d(feat, 1, PaddingMode.ZERO).value.data[:, 0]
+    constructed = pad2d(feat, 1, PaddingMode.ZERO).data[:, 0]
 
-    nxt = Variable(Tensor(rng.uniform((2, 6, 9, 7))))
-    reference = pad2d(attach_pad_channel(nxt), 1, PaddingMode.ZERO).value.data[:, 6]
+    nxt = Variable(rng.uniform((2, 6, 9, 7)))
+    reference = pad2d(attach_pad_channel(nxt), 1, PaddingMode.ZERO).data[:, 6]
     assert constructed.tobytes() == reference.tobytes()
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

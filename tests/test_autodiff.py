@@ -4,56 +4,39 @@ import weakref
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tape, Tensor, Variable, backward, fill, grad_check
+from padlab.autodiff import Tape, Variable, backward, grad_check, np_dtype
 from padlab.errors import ConfigError, GraphError, ShapeError
-from padlab.nn import add, mul, relu, sum_all
+from padlab.nn import add, kaiming_init, mul, relu, sum_all
 from padlab.rng import Rng
 
 
-def test_fill_basic():
-    t = fill([1, 1, 2, 2], 1.0)
-    assert t.shape == (1, 1, 2, 2)
-    assert np.all(t.data == 1.0)
-
-
-def test_fill_zeros():
-    t = fill([2, 3, 4, 4], 0.0)
-    assert t.size == 96
-    assert not t.data.any()
-
-
 @pytest.mark.parametrize("make", [
-    lambda tag: Tensor(np.zeros((2, 2)), dtype=tag),
-    lambda tag: Tensor(np.zeros((2, 2))).astype(tag),
-    lambda tag: fill([2, 2], 1.0, dtype=tag),
-], ids=["Tensor", "astype", "fill"])
+    np_dtype,
+    lambda tag: kaiming_init((2, 2), Rng(0), dtype=tag),
+], ids=["np_dtype", "kaiming_init"])
 @pytest.mark.parametrize("tag", ["f16", "float32", ["f32"]])
 def test_unknown_dtype_tag_is_a_config_error_naming_the_valid_tags(make, tag):
     with pytest.raises(ConfigError, match="valid tags are f32, f64"):
         make(tag)
 
 
-def test_fill_scalar():
-    t = fill([1], -2.5, dtype="f64")
-    assert t.data.tolist() == [-2.5]
-    assert t.dtype == "f64"
-
-
-@pytest.mark.parametrize("shape", [[0, 2], [-1], [2, 0, 2, 2]])
-def test_fill_rejects_bad_dims(shape):
-    with pytest.raises(ShapeError):
-        fill(shape, 1.0)
-
-
 def test_tensor_rank_bounds():
     with pytest.raises(ShapeError):
-        Tensor(np.zeros((2, 2, 2, 2, 2)))
+        Variable(np.zeros((2, 2, 2, 2, 2)))
     with pytest.raises(ShapeError):
-        Tensor(np.float32(3.0))  # rank 0
+        Variable(np.float32(3.0))  # rank 0
+    with pytest.raises(ShapeError):
+        Variable(np.zeros((2, 0)))
+
+
+def test_variable_casts_other_dtypes_to_f64():
+    assert Variable(np.arange(3)).data.dtype == np.float64
+    assert Variable(np.ones(3, np.float16)).data.dtype == np.float64
+    assert Variable(np.ones(3, np.float32)).data.dtype == np.float32
 
 
 def test_backward_square_sum():
-    x = Variable(Tensor(np.array([3.0]), dtype="f64"), requires_grad=True)
+    x = Variable(np.array([3.0]), requires_grad=True)
     tape = Tape()
     loss = sum_all(mul(x, x, tape), tape)
     backward(loss, tape)
@@ -61,7 +44,7 @@ def test_backward_square_sum():
 
 
 def test_backward_fanout_accumulates():
-    x = Variable(Tensor(np.array([1.0, -2.0, 0.5]), dtype="f64"), requires_grad=True)
+    x = Variable(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     tape = Tape()
     loss = sum_all(add(x, x, tape), tape)
     backward(loss, tape)
@@ -70,7 +53,7 @@ def test_backward_fanout_accumulates():
 
 def test_backward_fanout_k_consumers_scales():
     def run(k):
-        x = Variable(Tensor(np.array([1.5, 2.5]), dtype="f64"), requires_grad=True)
+        x = Variable(np.array([1.5, 2.5]), requires_grad=True)
         tape = Tape()
         acc = relu(x, tape)
         for _ in range(k - 1):
@@ -83,7 +66,7 @@ def test_backward_fanout_k_consumers_scales():
 
 
 def test_backward_rejects_nonscalar():
-    x = Variable(Tensor(np.array([1.0, 2.0])), requires_grad=True)
+    x = Variable(np.array([1.0, 2.0]), requires_grad=True)
     tape = Tape()
     y = add(x, x, tape)
     with pytest.raises(GraphError):
@@ -91,7 +74,7 @@ def test_backward_rejects_nonscalar():
 
 
 def test_backward_returns_grad_map():
-    x = Variable(Tensor(np.array([2.0]), dtype="f64"), requires_grad=True)
+    x = Variable(np.array([2.0]), requires_grad=True)
     tape = Tape()
     loss = sum_all(mul(x, x, tape), tape)
     gmap = backward(loss, tape)
@@ -100,7 +83,7 @@ def test_backward_returns_grad_map():
 
 
 def test_grad_accumulates_across_backward_calls():
-    x = Variable(Tensor(np.array([1.0]), dtype="f64"), requires_grad=True)
+    x = Variable(np.array([1.0]), requires_grad=True)
     for _ in range(2):
         tape = Tape()
         backward(sum_all(mul(x, x, tape), tape), tape)
@@ -116,21 +99,21 @@ def _is_zero_view(arr, shape, dtype):
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_untouched_grad_is_a_read_only_zero_view(dtype):
-    x = Variable(Tensor(np.ones((2, 3, 4, 5)), dtype=dtype), requires_grad=True)
-    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.value.data.dtype)
+    x = Variable(np.ones((2, 3, 4, 5), np_dtype(dtype)), requires_grad=True)
+    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.data.dtype)
     tape = Tape()
     backward(sum_all(mul(x, x, tape), tape), tape)
     assert x.grad.any() and x.grad.flags.writeable
     x.zero_grad()
-    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.value.data.dtype)
+    assert _is_zero_view(x.grad, (2, 3, 4, 5), x.data.dtype)
     with pytest.raises(ValueError):
         x.grad[0, 0, 0, 0] = 1.0
-    assert Variable(Tensor(np.ones(3))).grad is None
+    assert Variable(np.ones(3)).grad is None
 
 
 def test_negative_zero_gradient_lands_as_positive_zero():
-    x = Variable(Tensor(np.array([1.0, 2.0]), dtype="f64"), requires_grad=True)
-    c = Variable(Tensor(np.array([-0.0, 3.0]), dtype="f64"))
+    x = Variable(np.array([1.0, 2.0]), requires_grad=True)
+    c = Variable(np.array([-0.0, 3.0]))
     tape = Tape()
     gmap = backward(sum_all(mul(x, c, tape), tape), tape)
     assert np.signbit(gmap[x]).tolist() == [True, False]
@@ -138,15 +121,15 @@ def test_negative_zero_gradient_lands_as_positive_zero():
 
 
 def test_fanout_and_repeated_backward_sum_exactly():
-    x = Variable(Tensor(np.array([1.0, -2.0, 0.5]), dtype="f64"), requires_grad=True)
+    x = Variable(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     for _ in range(2):
         tape = Tape()
         backward(sum_all(add(mul(x, x, tape), x, tape), tape), tape)
-    assert x.grad.tobytes() == (2 * (2 * x.value.data + 1)).tobytes()
+    assert x.grad.tobytes() == (2 * (2 * x.data + 1)).tobytes()
 
 
 def test_grad_check_sum_is_tiny():
-    x = Tensor(Rng(0).normal((2, 3, 4, 4), dtype=np.float64))
+    x = Rng(0).normal((2, 3, 4, 4), dtype=np.float64)
     err = grad_check(lambda v, t: sum_all(v, t), x)
     assert err < 1e-10
 
@@ -154,29 +137,28 @@ def test_grad_check_sum_is_tiny():
 def test_grad_check_requires_f64():
     from padlab.errors import NumericError
     with pytest.raises(NumericError):
-        grad_check(lambda v, t: sum_all(v, t), Tensor(np.zeros((2, 2), np.float32)))
+        grad_check(lambda v, t: sum_all(v, t), np.zeros((2, 2), np.float32))
 
 
 def test_grad_check_catches_wrong_gradient():
     # a deliberately broken op: forward x^2, backward pretends d/dx = x
     def broken(v, tape):
-        out = Variable(Tensor(np.sum(v.value.data ** 2).reshape(1)),
-                       requires_grad=True)
+        out = Variable(np.sum(v.data ** 2).reshape(1), requires_grad=True)
         if tape is not None:
-            tape.record((v,), out, lambda g: (g.reshape(()) * v.value.data,))
+            tape.record((v,), out, lambda g: (g.reshape(()) * v.data,))
         return out
 
-    x = Tensor(np.array([1.0, 2.0], dtype=np.float64))
+    x = np.array([1.0, 2.0], dtype=np.float64)
     assert grad_check(broken, x) > 0.1
 
 
 def test_tensor_keeps_a_view_without_copying():
     base = np.arange(48, dtype=np.float32).reshape(3, 2, 2, 4)
     view = base.transpose(1, 0, 2, 3)  # channel-major memory, NCHW shape
-    t = Tensor(view)
-    assert t.data is view
-    assert t.shape == (2, 3, 2, 4)
-    assert np.shares_memory(t.data, base)
+    v = Variable(view)
+    assert v.data is view
+    assert v.shape == (2, 3, 2, 4)
+    assert np.shares_memory(v.data, base)
 
 
 def test_rng_determinism_long_streams():
@@ -210,7 +192,7 @@ def test_rng_child_chain_draws_fixed_bytes():
 def _scaled(x, tape):
     """x * 2 through a backward closure that alone holds its saved array."""
     scale = np.full(x.shape, 2.0)
-    out = Variable(x.value.data * scale, requires_grad=True)
+    out = Variable(x.data * scale, requires_grad=True)
     tape.record((x,), out, lambda g: (g * scale,))
     return out, weakref.ref(scale)
 

@@ -200,6 +200,17 @@ def test_train_config_schema_violation_exits_1(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("argv", [("train", "--seed", "0"),
+                                  ("eval", "--checkpoint", "best.ckpt")])
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_bytes(b'{"arch": "tinyvgg\xff"}')
+    code, out, err = run(capsys, argv[0], "--config", str(cfg_path), *argv[1:])
+    assert code == 1 and out == ""
+    assert "config is not UTF-8 text" in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_train_config_non_boolean_pad_channel_exits_1(tmp_path, capsys, value):
     cfg_path, _ = _config(tmp_path, pad_channel=value)
@@ -507,15 +518,21 @@ def test_compare_identical_groups_null_case(tmp_path, capsys):
     ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\n", "empty run log"),
     ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,x,1,1,1\n",
      "run log is not"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\n\xff\xfe,0,0,1,1,1,1\n",
+     "run log is not UTF-8 text"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,0.5,nan,0.02,1\n",
+     "non-finite"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,inf,99,0.02,1\n",
+     "non-finite"),
 ])
 def test_compare_malformed_runlogs_exit_2(tmp_path, capsys, text, message):
     for side in ("a", "b"):
-        for i in range(2):
-            (tmp_path / f"{side}{i}.csv").write_text(text)
+        for i in range(2):  # latin-1 writes "\xff" as the byte 0xff, which is not UTF-8
+            (tmp_path / f"{side}{i}.csv").write_text(text, encoding="latin-1")
     code, _, err = run(capsys, "compare", "--runs-a", str(tmp_path / "a*.csv"),
                        "--runs-b", str(tmp_path / "b*.csv"))
     assert code == 2
-    assert message in err and "Traceback" not in err
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from padlab import gradcheck_suite, nn
-from padlab.autodiff import Tensor, Variable, grad_check
-from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
+from padlab.autodiff import Variable, grad_check
+from padlab.nn import (BatchNormState, ConvSpec, PaddingMode,
                        adaptive_avgpool2d, attach_pad_channel, batchnorm2d,
                        conv2d, dropout, global_avgpool, linear, maxpool2d,
                        pad2d, relu, softmax, softmax_cross_entropy, sum_all,
@@ -35,7 +35,7 @@ def projected(op):
         key = out.shape
         if key not in cache:
             cache[key] = Rng(999).normal(out.shape, dtype=np.float64)
-        proj = Variable(Tensor(cache[key]))
+        proj = Variable(cache[key])
         return sum_all(mul(out, proj, tape), tape)
 
     return f
@@ -46,7 +46,7 @@ def run_trials(make_op, shapes=SHAPES, tol=TOL):
     for trial in range(TRIALS):
         shape = shapes[trial % len(shapes)]
         rng = Rng(1000 + trial)
-        x = Tensor(rng.normal(shape, dtype=np.float64))
+        x = rng.normal(shape, dtype=np.float64)
         err = grad_check(projected(make_op(trial, shape, rng)), x, eps=EPS)
         worst = max(worst, err)
     assert worst < tol, f"max relative error {worst:.3e} >= {tol}"
@@ -67,8 +67,8 @@ def test_grad_conv_wrt_input(mode):
     def make(trial, shape, rng):
         cin = shape[1]
         cout = 3
-        w = Variable(Tensor(rng.normal((cout, cin, 3, 3), dtype=np.float64)))
-        b = Variable(Tensor(rng.normal((cout,), dtype=np.float64)))
+        w = Variable(rng.normal((cout, cin, 3, 3), dtype=np.float64))
+        b = Variable(rng.normal((cout,), dtype=np.float64))
         spec = ConvSpec(cin, cout, 3, 3, stride=1 + trial % 2, pad=1,
                         padding_mode=mode)
         return lambda v, tape: conv2d(v, w, b, spec, tape=tape)
@@ -84,7 +84,7 @@ def test_grad_conv_wrt_weight_and_bias():
             cout, cin = v.shape[0], v.shape[1]
             if trial not in xs:
                 xs[trial] = Rng(55 + trial).normal((2, cin, 6, 6), dtype=np.float64)
-            x = Variable(Tensor(xs[trial]))
+            x = Variable(xs[trial])
             spec = ConvSpec(cin, cout, v.shape[2], v.shape[3], pad=1)
             return conv2d(x, v, None, spec, tape=tape)
         return f
@@ -93,7 +93,7 @@ def test_grad_conv_wrt_weight_and_bias():
     worst = 0.0
     for trial in range(TRIALS):
         shape = weight_shapes[trial % len(weight_shapes)]
-        w = Tensor(Rng(2000 + trial).normal(shape, dtype=np.float64))
+        w = Rng(2000 + trial).normal(shape, dtype=np.float64)
         worst = max(worst, grad_check(projected(make_w(trial, shape, None)), w, eps=EPS))
     assert worst < TOL
 
@@ -103,10 +103,10 @@ def test_grad_conv_wrt_weight_and_bias():
 
     def via_bias(v, tape):
         spec = ConvSpec(3, 4, 3, 3, pad=1)
-        return conv2d(Variable(Tensor(x_fix)), Variable(Tensor(w_fix)), v,
+        return conv2d(Variable(x_fix), Variable(w_fix), v,
                       spec, tape=tape)
 
-    err = grad_check(projected(via_bias), Tensor(Rng(79).normal((4,), dtype=np.float64)),
+    err = grad_check(projected(via_bias), Rng(79).normal((4,), dtype=np.float64),
                      eps=EPS)
     assert err < TOL
 
@@ -114,13 +114,12 @@ def test_grad_conv_wrt_weight_and_bias():
 def test_grad_batchnorm_train_wrt_input():
     def make(trial, shape, rng):
         c = shape[1]
-        gamma = Variable(Tensor(rng.normal((c,), dtype=np.float64) + 1.0))
-        beta = Variable(Tensor(rng.normal((c,), dtype=np.float64)))
-        spec = BatchNormSpec(c)
+        gamma = Variable(rng.normal((c,), dtype=np.float64) + 1.0)
+        beta = Variable(rng.normal((c,), dtype=np.float64))
 
         def f(v, tape):
             return batchnorm2d(v, gamma, beta, BatchNormState(c, np.float64),
-                               spec, "train", tape=tape)
+                               "train", tape=tape)
         return f
 
     run_trials(make)
@@ -128,20 +127,19 @@ def test_grad_batchnorm_train_wrt_input():
 
 def test_grad_batchnorm_train_wrt_gamma_beta():
     x_fix = Rng(31).normal((2, 3, 5, 5), dtype=np.float64)
-    spec = BatchNormSpec(3)
 
     def via_gamma(v, tape):
-        beta = Variable(Tensor(np.zeros(3, np.float64)))
-        return batchnorm2d(Variable(Tensor(x_fix)), v, beta,
-                           BatchNormState(3, np.float64), spec, "train", tape=tape)
+        beta = Variable(np.zeros(3, np.float64))
+        return batchnorm2d(Variable(x_fix), v, beta,
+                           BatchNormState(3, np.float64), "train", tape=tape)
 
     def via_beta(v, tape):
-        gamma = Variable(Tensor(np.ones(3, np.float64)))
-        return batchnorm2d(Variable(Tensor(x_fix)), gamma, v,
-                           BatchNormState(3, np.float64), spec, "train", tape=tape)
+        gamma = Variable(np.ones(3, np.float64))
+        return batchnorm2d(Variable(x_fix), gamma, v,
+                           BatchNormState(3, np.float64), "train", tape=tape)
 
     for fn, seed in ((via_gamma, 41), (via_beta, 42)):
-        err = grad_check(projected(fn), Tensor(Rng(seed).normal((3,), dtype=np.float64)),
+        err = grad_check(projected(fn), Rng(seed).normal((3,), dtype=np.float64),
                          eps=EPS)
         assert err < TOL
 
@@ -159,7 +157,7 @@ def test_grad_relu():
         x = Rng(3000 + trial).normal(shape, dtype=np.float64)
         x = np.where(np.abs(x) < 1e-3, 0.1, x)
         worst = max(worst, grad_check(projected(make(trial, shape, None)),
-                                      Tensor(x), eps=EPS))
+                                      x, eps=EPS))
     assert worst < TOL
 
 
@@ -183,22 +181,22 @@ def test_grad_linear():
     def via_x(v, tape):
         from padlab.nn import flatten
         flat = flatten(v, tape)
-        w = Variable(Tensor(Rng(91).normal((5, flat.shape[1]), dtype=np.float64)))
-        b = Variable(Tensor(b_fix))
+        w = Variable(Rng(91).normal((5, flat.shape[1]), dtype=np.float64))
+        b = Variable(b_fix)
         return linear(flat, w, b, tape=tape)
 
     worst = 0.0
     for trial in range(TRIALS):
-        x = Tensor(Rng(4000 + trial).normal((2, 2, 3, 4), dtype=np.float64))
+        x = Rng(4000 + trial).normal((2, 2, 3, 4), dtype=np.float64)
         worst = max(worst, grad_check(projected(via_x), x, eps=EPS))
     assert worst < TOL
 
     x_fix = Rng(93).normal((3, 24), dtype=np.float64)
 
     def via_w(v, tape):
-        return linear(Variable(Tensor(x_fix)), v, Variable(Tensor(b_fix)), tape=tape)
+        return linear(Variable(x_fix), v, Variable(b_fix), tape=tape)
 
-    err = grad_check(projected(via_w), Tensor(w_fix), eps=EPS)
+    err = grad_check(projected(via_w), w_fix, eps=EPS)
     assert err < TOL
 
 
@@ -224,7 +222,7 @@ def test_grad_softmax_cross_entropy():
     for trial in range(TRIALS):
         n, k = 4, 6
         labels = Rng(600 + trial).integers(0, k, (n,))
-        logits = Tensor(Rng(700 + trial).normal((n, k), dtype=np.float64))
+        logits = Rng(700 + trial).normal((n, k), dtype=np.float64)
         err = grad_check(
             lambda v, tape: softmax_cross_entropy(v, labels, tape=tape),
             logits, eps=EPS)
@@ -239,18 +237,17 @@ def test_grad_conv_bn_relu_mean_chain():
 
     def chain(v, tape):
         from padlab.nn import mean_all
-        w = Variable(Tensor(w_fix))
+        w = Variable(w_fix)
         spec = ConvSpec(3, 4, 3, 3, pad=1)
         h = conv2d(v, w, None, spec, tape=tape)
-        h = batchnorm2d(h, Variable(Tensor(gamma_fix)), Variable(Tensor(beta_fix)),
-                        BatchNormState(4, np.float64), BatchNormSpec(4),
-                        "train", tape=tape)
+        h = batchnorm2d(h, Variable(gamma_fix), Variable(beta_fix),
+                        BatchNormState(4, np.float64), "train", tape=tape)
         h = relu(h, tape)
         return mean_all(h, tape)
 
     worst = 0.0
     for trial in range(3):
-        x = Tensor(Rng(900 + trial).normal((2, 3, 6, 6), dtype=np.float64))
+        x = Rng(900 + trial).normal((2, 3, 6, 6), dtype=np.float64)
         worst = max(worst, grad_check(chain, x, eps=EPS))
     assert worst < TOL
 

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from padlab.autodiff import Tape, Tensor, Variable, backward
+from padlab.autodiff import Tape, Variable, backward
 from padlab.checkpoint import model_state
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
 from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model,
@@ -24,7 +24,7 @@ def _params(model):
 
 
 def _total(model):
-    return sum(v.value.size for _, v in model.named_parameters())
+    return sum(v.data.size for _, v in model.named_parameters())
 
 
 def test_unknown_family_rejected():
@@ -35,18 +35,18 @@ def test_unknown_family_rejected():
 def test_resnet18_first_conv_shapes():
     # the one full-size Kaiming build; the other shape tests build zeros
     base = build_model(ModelSpec("resnet18"), Rng(0))
-    stem = _params(base)["stem.conv.weight"].value
+    stem = _params(base)["stem.conv.weight"].data
     assert stem.shape == (64, 3, 7, 7)
-    assert stem.data.std() == pytest.approx(np.sqrt(2 / 147), rel=0.05)
+    assert stem.std() == pytest.approx(np.sqrt(2 / 147), rel=0.05)
     pc = build_model(ModelSpec("resnet18", pad_channel=True), Rng(0), init="zeros")
-    assert _params(pc)["stem.conv.weight"].value.shape == (64, 4, 7, 7)
+    assert _params(pc)["stem.conv.weight"].data.shape == (64, 4, 7, 7)
     assert _total(pc) - _total(base) == 3136
 
 
 def test_vgg11_first_conv_growth():
     base = build_model(ModelSpec("vgg11-bn"), Rng(0), init="zeros")
     pc = build_model(ModelSpec("vgg11-bn", pad_channel=True), Rng(0), init="zeros")
-    assert _params(pc)["features.conv1.weight"].value.shape == (64, 4, 3, 3)
+    assert _params(pc)["features.conv1.weight"].data.shape == (64, 4, 3, 3)
     assert _total(pc) - _total(base) == 576
 
 
@@ -58,12 +58,12 @@ def test_param_delta_is_first_conv_kernel_slice(family):
                        init="zeros")
     pc = build_model(ModelSpec(family, pad_channel=True, num_classes=classes,
                                input_size=size), Rng(0), init="zeros")
-    w = _params(base)[FIRST_CONV[family]].value.shape
+    w = _params(base)[FIRST_CONV[family]].data.shape
     cout, _, kh, kw = w
     assert _total(pc) - _total(base) == kh * kw * cout
     # the delta carries no bias term: bias vectors are identical in size
-    base_biases = sum(v.value.size for n, v in base.named_parameters() if "bias" in n)
-    pc_biases = sum(v.value.size for n, v in pc.named_parameters() if "bias" in n)
+    base_biases = sum(v.data.size for n, v in base.named_parameters() if "bias" in n)
+    pc_biases = sum(v.data.size for n, v in pc.named_parameters() if "bias" in n)
     assert base_biases == pc_biases
 
 
@@ -78,13 +78,13 @@ def test_reflect_padding_allowed_without_pad_channel():
     spec = ModelSpec("tinyvgg", num_classes=2, input_size=32,
                      padding_mode=PaddingMode.REFLECT)
     model = build_model(spec, Rng(0))
-    out = model.forward(Variable(Tensor(Rng(1).uniform((2, 3, 32, 32)))), "eval")
+    out = model.forward(Variable(Rng(1).uniform((2, 3, 32, 32))), "eval")
     assert out.shape == (2, 2)
 
 
 def test_forward_shape_contract():
     model = build_model(ModelSpec("tinyresnet", num_classes=10, input_size=32), Rng(0))
-    batch = Tensor(Rng(5).uniform((4, 3, 32, 32)))
+    batch = Rng(5).uniform((4, 3, 32, 32))
     logits = model.forward(Variable(batch), "eval")
     assert logits.shape == (4, 10)
 
@@ -93,14 +93,14 @@ def test_pad_channel_model_rejects_4ch_batch():
     model = build_model(ModelSpec("tinyresnet", pad_channel=True, num_classes=2,
                                   input_size=32), Rng(0))
     with pytest.raises(ShapeError):
-        model.forward(Variable(Tensor(Rng(2).uniform((1, 4, 32, 32)))), "eval")
+        model.forward(Variable(Rng(2).uniform((1, 4, 32, 32))), "eval")
 
 
 def test_eval_forward_deterministic():
     model = build_model(ModelSpec("tinyvgg", num_classes=3, input_size=32), Rng(4))
-    batch = Variable(Tensor(Rng(6).uniform((2, 3, 32, 32))))
-    a = model.forward(batch, "eval").value.data
-    b = model.forward(batch, "eval").value.data
+    batch = Variable(Rng(6).uniform((2, 3, 32, 32)))
+    a = model.forward(batch, "eval").data
+    b = model.forward(batch, "eval").data
     assert a.tobytes() == b.tobytes()
 
 
@@ -109,7 +109,7 @@ def test_build_deterministic_per_seed():
     b = build_model(ModelSpec("tinyresnet", num_classes=2, input_size=32), Rng(11))
     for (na, va), (nb, vb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
-        assert va.value.data.tobytes() == vb.value.data.tobytes()
+        assert va.data.tobytes() == vb.data.tobytes()
 
 
 def test_structural_equivalence_with_zeroed_mask_slice():
@@ -120,18 +120,18 @@ def test_structural_equivalence_with_zeroed_mask_slice():
     pc = build_model(spec_pc, Rng(3))
     base = build_model(spec_base, Rng(99))
 
-    _params(pc)["stem.conv.weight"].value.data[:, 3] = 0.0
+    _params(pc)["stem.conv.weight"].data[:, 3] = 0.0
     state = {}
     for name, var in pc.named_parameters():
-        arr = var.value.data
+        arr = var.data
         state[name] = arr[:, :3] if name == "stem.conv.weight" else arr
     for name, buf in pc.named_buffers():
         state[name] = buf
     base.load_state(state)
 
-    x = Variable(Tensor(Rng(17).uniform((2, 3, 32, 32))))
-    out_pc = pc.forward(x, "eval").value.data
-    out_base = base.forward(x, "eval").value.data
+    x = Variable(Rng(17).uniform((2, 3, 32, 32)))
+    out_pc = pc.forward(x, "eval").data
+    out_base = base.forward(x, "eval").data
     assert np.array_equal(out_pc, out_base)
 
 
@@ -143,7 +143,7 @@ def test_manifest_layer_shapes_and_counts():
         spec = ModelSpec(family, num_classes=entry["num_classes"],
                          input_size=entry["input_size"])
         model = build_model(spec, Rng(0), init="zeros")
-        got = [[name, list(v.value.shape)] for name, v in model.named_parameters()]
+        got = [[name, list(v.data.shape)] for name, v in model.named_parameters()]
         assert got == entry["parameters"], f"{family} parameter list drifted"
         assert _total(model) == entry["params_total"]
 
@@ -174,7 +174,7 @@ def test_train_activations_stay_channel_major(family):
     # to its GEMM operand without a copy
     model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
                                   input_size=32), Rng(0))
-    batch = Tensor(Rng(1).normal((4, 3, 32, 32)))
+    batch = Rng(1).normal((4, 3, 32, 32))
     tape = Tape()
     logits = model.forward(batch, "train", tape, Rng(2))
     grads = []
@@ -189,7 +189,7 @@ def test_train_activations_stay_channel_major(family):
     for entry in tape.entries:
         op = entry.backward_fn.__qualname__.split(".")[0]
         ops.append(op)
-        data = entry.output.value.data
+        data = entry.output.data
         if op in ("conv2d", "batchnorm2d", "relu", "maxpool2d") and data.ndim == 4:
             assert data.transpose(1, 0, 2, 3).flags.c_contiguous, op
             entry.backward_fn = keep_grad(op, entry.backward_fn)
@@ -210,7 +210,7 @@ def test_zeros_init_weights_are_read_only_zero_views():
     model = build_model(ModelSpec("vgg16-bn", pad_channel=True), Rng(0), init="zeros")
     weights = 0
     for name, var in model.named_parameters():
-        data = var.value.data
+        data = var.data
         if name.endswith("weight"):
             weights += 1
             assert not data.any() and not data.flags.writeable, name
@@ -229,18 +229,18 @@ def test_zeros_build_loaded_from_checkpoint_matches_kaiming_build():
     kaiming = build_model(spec, Rng(5))
     loaded = build_model(spec, Rng(0), init="zeros")
     loaded.load_state(model_state(kaiming))
-    batch = Tensor(Rng(6).uniform((4, 3, 32, 32)))
-    assert (kaiming.forward(batch, "eval").value.data.tobytes()
-            == loaded.forward(batch, "eval").value.data.tobytes())
+    batch = Rng(6).uniform((4, 3, 32, 32))
+    assert (kaiming.forward(batch, "eval").data.tobytes()
+            == loaded.forward(batch, "eval").data.tobytes())
     for model in (kaiming, loaded):
         tape = Tape()
         logits = model.forward(batch, "train", tape, Rng(7))
         backward(softmax_cross_entropy(logits, np.array([0, 1, 1, 0]), tape), tape)
         sgd_step(model.parameters(), {}, 0.1, 0.9, 5e-4)
     for (name, a), (_, b) in zip(kaiming.named_parameters(), loaded.named_parameters()):
-        assert a.value.data.tobytes() == b.value.data.tobytes(), name
-    assert (kaiming.forward(batch, "eval").value.data.tobytes()
-            == loaded.forward(batch, "eval").value.data.tobytes())
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert (kaiming.forward(batch, "eval").data.tobytes()
+            == loaded.forward(batch, "eval").data.tobytes())
 
 
 def test_load_state_rejects_wrong_shaped_running_stat():

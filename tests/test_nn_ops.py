@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padlab.autodiff import Tape, Tensor, Variable, backward
+from padlab.autodiff import Tape, Variable, backward
 from padlab.errors import (ConfigError, DegenerateBatchError, GeometryError,
                            InvalidLabelError, InvalidPadError, ShapeError)
-from padlab.nn import (BatchNormSpec, BatchNormState, ConvSpec, PaddingMode,
-                       adaptive_avgpool2d, attach_pad_channel, batchnorm2d,
-                       conv2d, dropout, global_avgpool, kaiming_init, linear,
-                       maxpool2d, mul, pad2d, relu, softmax,
-                       softmax_cross_entropy, sum_all)
+from padlab.nn import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvSpec,
+                       PaddingMode, adaptive_avgpool2d, attach_pad_channel,
+                       batchnorm2d, conv2d, dropout, global_avgpool,
+                       kaiming_init, linear, maxpool2d, mul, pad2d, relu,
+                       softmax, softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
 from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
@@ -30,7 +30,7 @@ MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
 
 
 def _var(arr, requires_grad=False):
-    return Variable(Tensor(arr), requires_grad=requires_grad)
+    return Variable(arr, requires_grad=requires_grad)
 
 
 def _vjp(op, arrays, g):
@@ -47,7 +47,7 @@ def _vjp(op, arrays, g):
 
 def test_pad_zero_single_pixel():
     x = _var(np.full((1, 1, 1, 1), 5.0, np.float32))
-    out = pad2d(x, 1, PaddingMode.ZERO).value.data[0, 0]
+    out = pad2d(x, 1, PaddingMode.ZERO).data[0, 0]
     expected = np.zeros((3, 3), np.float32)
     expected[1, 1] = 5.0
     assert np.array_equal(out, expected)
@@ -56,14 +56,14 @@ def test_pad_zero_single_pixel():
 def test_pad_reflect_row():
     # rows [1,2,3] mirror to [2,1,2,3,2]
     x = _var(np.tile(np.array([1.0, 2.0, 3.0], np.float32), (3, 1)).reshape(1, 1, 3, 3))
-    out = pad2d(x, 1, PaddingMode.REFLECT).value.data[0, 0]
+    out = pad2d(x, 1, PaddingMode.REFLECT).data[0, 0]
     for row in out:
         assert row.tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
 
 
 def test_pad_replicate_row():
     x = _var(np.array([1.0, 2.0, 3.0], np.float32).reshape(1, 1, 1, 3))
-    out = pad2d(x, 1, PaddingMode.REPLICATE).value.data[0, 0]
+    out = pad2d(x, 1, PaddingMode.REPLICATE).data[0, 0]
     assert out[1].tolist() == [1.0, 1.0, 2.0, 3.0, 3.0]
 
 
@@ -78,7 +78,7 @@ def test_pad_reflect_rejects_oversized_pad():
        h=st.integers(4, 9), w=st.integers(4, 9), seed=st.integers(0, 2**31))
 def test_pad_matches_oracle_and_preserves_interior(mode, pad, h, w, seed):
     x = Rng(seed).uniform((2, 3, h, w))
-    out = pad2d(_var(x), pad, mode).value.data
+    out = pad2d(_var(x), pad, mode).data
     assert out.shape == (2, 3, h + 2 * pad, w + 2 * pad)
     assert out[:, :, pad:-pad, pad:-pad].tobytes() == x.tobytes()
     assert np.array_equal(out, naive_pad2d(x, pad, MODES[mode]))
@@ -89,7 +89,7 @@ def test_pad_matches_oracle_and_preserves_interior(mode, pad, h, w, seed):
 
 def test_attach_pad_channel_appends_ones():
     x = Rng(0).uniform((2, 3, 5, 5))
-    out = attach_pad_channel(_var(x)).value.data
+    out = attach_pad_channel(_var(x)).data
     assert out.shape == (2, 4, 5, 5)
     assert out[:, :3].tobytes() == x.tobytes()
     assert np.all(out[:, 3] == 1.0)
@@ -98,7 +98,7 @@ def test_attach_pad_channel_appends_ones():
 @pytest.mark.parametrize("pad", [1, 2, 3])
 def test_pad_indicator_marks_original_extent(pad):
     x = Rng(pad).uniform((2, 3, 6, 7))
-    padded = pad2d(attach_pad_channel(_var(x)), pad, PaddingMode.ZERO).value.data
+    padded = pad2d(attach_pad_channel(_var(x)), pad, PaddingMode.ZERO).data
     indicator = padded[:, 3]
     expected = np.zeros_like(indicator)
     expected[:, pad:-pad, pad:-pad] = 1.0
@@ -108,7 +108,7 @@ def test_pad_indicator_marks_original_extent(pad):
 @pytest.mark.parametrize("mode", [PaddingMode.REFLECT, PaddingMode.REPLICATE])
 def test_indicator_defeated_by_other_modes(mode):
     x = Rng(9).uniform((1, 3, 6, 6))
-    padded = pad2d(attach_pad_channel(_var(x)), 2, mode).value.data
+    padded = pad2d(attach_pad_channel(_var(x)), 2, mode).data
     assert np.all(padded[:, 3] == 1.0)
 
 
@@ -119,7 +119,7 @@ def test_conv_identity_kernel():
     x = Rng(3).uniform((2, 1, 5, 5))
     w = _var(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
     spec = ConvSpec(1, 1, 1, 1)
-    out = conv2d(_var(x), w, None, spec).value.data
+    out = conv2d(_var(x), w, None, spec).data
     assert np.array_equal(out, x)
 
 
@@ -127,7 +127,7 @@ def test_conv_all_ones_3x3_padded():
     x = _var(np.ones((1, 1, 3, 3), np.float32))
     w = _var(np.ones((1, 1, 3, 3), np.float32))
     spec = ConvSpec(1, 1, 3, 3, stride=1, pad=1)
-    out = conv2d(x, w, None, spec).value.data[0, 0]
+    out = conv2d(x, w, None, spec).data[0, 0]
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], np.float32)
     assert np.array_equal(out, expected)
 
@@ -136,7 +136,7 @@ def test_conv_zero_weights_bias_one():
     x = Rng(1).uniform((2, 3, 4, 4))
     w = _var(np.zeros((5, 3, 3, 3), np.float32))
     b = _var(np.ones(5, np.float32))
-    out = conv2d(_var(x), w, b, ConvSpec(3, 5, 3, 3, pad=1)).value.data
+    out = conv2d(_var(x), w, b, ConvSpec(3, 5, 3, 3, pad=1)).data
     assert np.all(out == 1.0)
 
 
@@ -150,7 +150,7 @@ def test_conv_matches_naive_oracle(cin, cout, k, stride, pad, size, seed, use_bi
     w = rng.normal((cout, cin, k, k), dtype=np.float64)
     b = rng.normal((cout,), dtype=np.float64) if use_bias else None
     spec = ConvSpec(cin, cout, k, k, stride=stride, pad=pad, bias=use_bias)
-    got = conv2d(_var(x), _var(w), None if b is None else _var(b), spec).value.data
+    got = conv2d(_var(x), _var(w), None if b is None else _var(b), spec).data
     want = naive_conv2d(x, w, b, stride=stride, pad=pad)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -193,8 +193,8 @@ def test_conv_translation_equivariance_interior():
     x[:, :, 4:8, 4:8] = rng.uniform((1, 2, 4, 4), dtype=np.float64)
     w = rng.normal((3, 2, 3, 3), dtype=np.float64)
     spec = ConvSpec(2, 3, 3, 3, pad=1)
-    base = conv2d(_var(x), _var(w), None, spec).value.data
-    shifted = conv2d(_var(np.roll(x, (1, 1), axis=(2, 3))), _var(w), None, spec).value.data
+    base = conv2d(_var(x), _var(w), None, spec).data
+    shifted = conv2d(_var(np.roll(x, (1, 1), axis=(2, 3))), _var(w), None, spec).data
     assert np.array_equal(shifted[:, :, 2:-2, 2:-2],
                           np.roll(base, (1, 1), axis=(2, 3))[:, :, 2:-2, 2:-2])
 
@@ -205,20 +205,20 @@ def test_conv_translation_equivariance_interior():
 def _bn_parts(c, dtype=np.float32):
     gamma = _var(np.ones(c, dtype), requires_grad=True)
     beta = _var(np.zeros(c, dtype), requires_grad=True)
-    return gamma, beta, BatchNormState(c, dtype), BatchNormSpec(c)
+    return gamma, beta, BatchNormState(c, dtype)
 
 
 def test_bn_constant_channel_train():
-    gamma, beta, state, spec = _bn_parts(2)
+    gamma, beta, state = _bn_parts(2)
     x = _var(np.full((2, 2, 3, 3), 7.0, np.float32))
-    out = batchnorm2d(x, gamma, beta, state, spec, "train").value.data
+    out = batchnorm2d(x, gamma, beta, state, "train").data
     assert np.allclose(out, 0.0, atol=1e-4)
 
 
 def test_bn_normalises_batch():
-    gamma, beta, state, spec = _bn_parts(4, np.float64)
+    gamma, beta, state = _bn_parts(4, np.float64)
     x = Rng(5).normal((3, 4, 6, 6), std=3.0, dtype=np.float64) + 1.5
-    out = batchnorm2d(_var(x), gamma, beta, state, spec, "train").value.data
+    out = batchnorm2d(_var(x), gamma, beta, state, "train").data
     means, variances = channel_stats(out)
     assert np.all(np.abs(means) < 1e-5)
     assert np.all(np.abs(variances - 1.0) < 1e-3)
@@ -228,16 +228,15 @@ def test_bn_eval_affine_identity():
     gamma = _var(np.full(3, 2.0, np.float32))
     beta = _var(np.full(3, 3.0, np.float32))
     state = BatchNormState(3)
-    spec = BatchNormSpec(3)
     x = Rng(2).uniform((2, 3, 4, 4))
-    out = batchnorm2d(_var(x), gamma, beta, state, spec, "eval").value.data
+    out = batchnorm2d(_var(x), gamma, beta, state, "eval").data
     np.testing.assert_allclose(out, 2.0 * x / np.sqrt(1 + 1e-5) + 3.0, rtol=1e-6)
 
 
 def test_bn_running_stats_update():
-    gamma, beta, state, spec = _bn_parts(1, np.float64)
+    gamma, beta, state = _bn_parts(1, np.float64)
     x = Rng(8).normal((4, 1, 5, 5), std=2.0, dtype=np.float64) + 10.0
-    batchnorm2d(_var(x), gamma, beta, state, spec, "train")
+    batchnorm2d(_var(x), gamma, beta, state, "train")
     mu = x.mean()
     m = x.size
     unbiased = x.var() * m / (m - 1)
@@ -246,10 +245,17 @@ def test_bn_running_stats_update():
 
 
 def test_bn_degenerate_batch():
-    gamma, beta, state, spec = _bn_parts(1)
+    gamma, beta, state = _bn_parts(1)
     with pytest.raises(DegenerateBatchError):
         batchnorm2d(_var(np.ones((1, 1, 1, 1), np.float32)),
-                    gamma, beta, state, spec, "train")
+                    gamma, beta, state, "train")
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_rejects_input_channels_unlike_gamma(mode):
+    gamma, beta, state = _bn_parts(3)
+    with pytest.raises(ShapeError, match="input has 2 channels, gamma has 3"):
+        batchnorm2d(_var(np.ones((2, 2, 3, 3), np.float32)), gamma, beta, state, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +267,19 @@ def test_kaiming_std_conv_4ch():
     # fan_in 36 -> std sqrt(2/36) = 0.2357; 1e5 draws land within 2%
     big = kaiming_init((2778, 4, 3, 3), Rng(1), dtype="f64")  # 100,008 draws
     assert big.size >= 100_000
-    assert abs(big.data.std() - 0.235702) < 0.02 * 0.235702
+    assert abs(big.std() - 0.235702) < 0.02 * 0.235702
 
 
 def test_kaiming_std_resnet_stem():
     big = kaiming_init((681, 3, 7, 7), Rng(2), dtype="f64")  # 100,107 draws
     want = np.sqrt(2 / 147)  # 0.116642
-    assert abs(big.data.std() - want) < 0.02 * want
+    assert abs(big.std() - want) < 0.02 * want
 
 
 def test_kaiming_deterministic():
     a = kaiming_init((8, 3, 3, 3), Rng(42))
     b = kaiming_init((8, 3, 3, 3), Rng(42))
-    assert a.data.tobytes() == b.data.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_kaiming_rejects_unknown_dtype_tag():
@@ -285,13 +291,13 @@ def test_kaiming_rejects_unknown_dtype_tag():
 # pools, linear, dropout, softmax
 
 def test_relu_definition():
-    out = relu(_var(np.array([-1.0, 0.0, 2.0], np.float32))).value.data
+    out = relu(_var(np.array([-1.0, 0.0, 2.0], np.float32))).data
     assert out.tolist() == [0.0, 0.0, 2.0]
 
 
 def test_maxpool_2x2():
     x = _var(np.array([[1.0, 2.0], [3.0, 4.0]], np.float32).reshape(1, 1, 2, 2))
-    out = maxpool2d(x, 2, 2).value.data
+    out = maxpool2d(x, 2, 2).data
     assert out.reshape(-1).tolist() == [4.0]
 
 
@@ -300,7 +306,7 @@ def test_maxpool_2x2():
        size=st.integers(4, 8), seed=st.integers(0, 2**31))
 def test_maxpool_matches_oracle(k, s, pad, size, seed):
     x = Rng(seed).uniform((2, 3, size, size))
-    got = maxpool2d(_var(x), k, s, pad).value.data
+    got = maxpool2d(_var(x), k, s, pad).data
     want = naive_maxpool2d(x, k, s, pad)
     assert np.array_equal(got, want.astype(got.dtype))
 
@@ -309,7 +315,7 @@ def test_maxpool_matches_oracle(k, s, pad, size, seed):
 def test_maxpool_ties_go_to_first_cell_bit_for_bit(dtype):
     # ReLU'd inputs: about one 2x2 window in 16 is all zeros
     rng = Rng(17)
-    x = relu(_var(rng.normal((4, 3, 16, 16), dtype=dtype))).value.data
+    x = relu(_var(rng.normal((4, 3, 16, 16), dtype=dtype))).data
     g = rng.normal((4, 3, 8, 8), dtype=dtype)
     (dx,) = _vjp(lambda v, tape: maxpool2d(v, 2, 2, tape=tape), [x], g)
     assert dx.tobytes() == naive_maxpool2d_backward(x, g, 2, 2).tobytes()
@@ -323,7 +329,7 @@ def test_maxpool_ties_go_to_first_cell_bit_for_bit(dtype):
 @pytest.mark.parametrize("k,s,pad", [(3, 2, 1), (3, 1, 1), (2, 1, 0), (3, 2, 0)])
 def test_maxpool_overlapping_backward_matches_oracle(k, s, pad):
     rng = Rng(23 + k + s + pad)
-    x = relu(_var(rng.normal((2, 3, 9, 9)))).value.data
+    x = relu(_var(rng.normal((2, 3, 9, 9)))).data
     ho = (9 + 2 * pad - k) // s + 1
     g = rng.normal((2, 3, ho, ho))
     (dx,) = _vjp(lambda v, tape: maxpool2d(v, k, s, pad, tape=tape), [x], g)
@@ -345,15 +351,15 @@ def test_maxpool_rejects_bad_arguments(kernel, stride, pad, error):
 
 def test_global_avgpool():
     x = Rng(4).uniform((2, 3, 4, 4))
-    out = global_avgpool(_var(x)).value.data
+    out = global_avgpool(_var(x)).data
     np.testing.assert_allclose(out, x.mean(axis=(2, 3)), rtol=1e-6)
 
 
 def test_adaptive_avgpool_identity_and_downsample():
     x = Rng(6).uniform((1, 2, 7, 7))
-    same = adaptive_avgpool2d(_var(x), 7, 7).value.data
+    same = adaptive_avgpool2d(_var(x), 7, 7).data
     assert np.array_equal(same, x)
-    one = adaptive_avgpool2d(_var(x), 1, 1).value.data
+    one = adaptive_avgpool2d(_var(x), 1, 1).data
     np.testing.assert_allclose(one[..., 0, 0], x.mean(axis=(2, 3)), rtol=1e-6)
 
 
@@ -362,14 +368,14 @@ def test_linear_matches_matmul():
     x = rng.uniform((4, 6))
     w = rng.normal((3, 6))
     b = rng.normal((3,))
-    out = linear(_var(x), _var(w), _var(b)).value.data
+    out = linear(_var(x), _var(w), _var(b)).data
     np.testing.assert_allclose(out, x @ w.T + b, rtol=1e-6)
 
 
 def test_dropout_eval_is_identity_train_scales():
     x = _var(np.ones((4, 100), np.float32))
     assert dropout(x, 0.5, "eval") is x
-    out = dropout(x, 0.5, "train", Rng(3)).value.data
+    out = dropout(x, 0.5, "train", Rng(3)).data
     kept = out[out != 0]
     assert np.allclose(kept, 2.0)
     assert 0.3 < (out != 0).mean() < 0.7
@@ -377,13 +383,13 @@ def test_dropout_eval_is_identity_train_scales():
 
 def test_softmax_rows_sum_to_one():
     logits = Rng(5).normal((8, 10), std=4.0)
-    p = softmax(_var(logits)).value.data
+    p = softmax(_var(logits)).data
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_cross_entropy_uniform_logits():
     logits = _var(np.zeros((3, 10), np.float32))
-    loss = softmax_cross_entropy(logits, np.array([0, 5, 9])).value.data
+    loss = softmax_cross_entropy(logits, np.array([0, 5, 9])).data
     assert abs(loss[0] - np.log(10)) < 1e-6
 
 
@@ -403,11 +409,11 @@ def test_subsumption_zero_weight_bias_one_conv():
     b = _var(np.ones(1, np.float32))
     feat = conv2d(x, w, b, ConvSpec(3, 1, 3, 3, pad=1))
     feat = relu(feat)
-    constructed = pad2d(feat, 1, PaddingMode.ZERO).value.data[:, 0]
+    constructed = pad2d(feat, 1, PaddingMode.ZERO).data[:, 0]
 
     next_in = _var(rng.uniform((2, 5, 6, 6)))
     reference = pad2d(attach_pad_channel(next_in), 1,
-                      PaddingMode.ZERO).value.data[:, 5]
+                      PaddingMode.ZERO).data[:, 5]
     assert constructed.tobytes() == reference.tobytes()
 
 
@@ -474,7 +480,6 @@ def test_bn_train_forward_backward_match_np_mean(dtype):
         if shape[0] * shape[2] * shape[3] < 2:
             continue
         c = shape[1]
-        spec = BatchNormSpec(c)
         x = (rng.standard_normal(shape) * scale + rng.standard_normal()).astype(dtype)
         gamma = rng.standard_normal(c).astype(dtype)
         beta = rng.standard_normal(c).astype(dtype)
@@ -482,15 +487,15 @@ def test_bn_train_forward_backward_match_np_mean(dtype):
         state = BatchNormState(c, dtype)
         vs = [_var(a, requires_grad=True) for a in (x, gamma, beta)]
         tape = Tape()
-        out = batchnorm2d(*vs, state, spec, "train", tape)
+        out = batchnorm2d(*vs, state, "train", tape)
         backward(sum_all(mul(out, _var(g), tape), tape), tape)
         ref_out, ref_dx, ref_dgamma, ref_dbeta, mu, var = mean_batchnorm2d_train(
-            x, gamma, beta, g, spec.eps)
-        _same_bytes(out.value.data, ref_out)
+            x, gamma, beta, g, BN_EPS)
+        _same_bytes(out.data, ref_out)
         for v, ref in zip(vs, (ref_dx, ref_dgamma, ref_dbeta)):
             _same_bytes(v.grad, ref)
         m = shape[0] * shape[2] * shape[3]
-        mom, fresh = spec.momentum, BatchNormState(c, dtype)
+        mom, fresh = BN_MOMENTUM, BatchNormState(c, dtype)
         _same_bytes(state.running_mean,
                     ((1 - mom) * fresh.running_mean + mom * mu).astype(dtype))
         _same_bytes(state.running_var,
@@ -509,7 +514,7 @@ def _op_backward(op, arrays, g):
     into a zeroed .grad can turn a -0.0 into +0.0."""
     tape = Tape()
     out = op(*[_var(a, requires_grad=True) for a in arrays], tape)
-    return out.value.data, tape.entries[-1].backward_fn(g)
+    return out.data, tape.entries[-1].backward_fn(g)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -533,7 +538,6 @@ def test_conv_dw_matches_gmat_cols_t_form(dtype, k, stride):
 def test_bn_eval_forward_backward_match_fresh_temporaries(dtype):
     for rng, shape, scale in _random_shapes(3, 60):
         c = shape[1]
-        spec = BatchNormSpec(c)
         state = BatchNormState(c, dtype)
         state.running_mean = (rng.standard_normal(c) * scale).astype(dtype)
         state.running_var = (rng.uniform(0.01, 4.0, c) * scale * scale).astype(dtype)
@@ -541,15 +545,15 @@ def test_bn_eval_forward_backward_match_fresh_temporaries(dtype):
         gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
         g = _signed_zero_grad(rng, shape, dtype)
         out, grads = _op_backward(
-            lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, spec, "eval", tape),
+            lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, "eval", tape),
             [x, gamma, beta], g)
         ref = batchnorm2d_eval(x, gamma, beta, state.running_mean, state.running_var,
-                               g, spec.eps)
+                               g, BN_EPS)
         for got, want in zip((out, *grads), ref):
             _same_bytes(got, want)
         # without a tape the output is written over the op's own xhat buffer
-        _same_bytes(batchnorm2d(_var(x), _var(gamma), _var(beta), state, spec,
-                                "eval").value.data, ref[0])
+        _same_bytes(batchnorm2d(_var(x), _var(gamma), _var(beta), state,
+                                "eval").data, ref[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -581,9 +585,9 @@ def test_adaptive_bin_edges_are_the_float_floor_and_ceil():
 def test_avgpools_match_np_mean(dtype):
     for rng, shape, scale in _random_shapes(2, 60):
         x = (rng.standard_normal(shape) * scale).astype(dtype)
-        _same_bytes(global_avgpool(_var(x)).value.data, mean_global_avgpool(x))
+        _same_bytes(global_avgpool(_var(x)).data, mean_global_avgpool(x))
         out_h, out_w = (int(v) for v in rng.integers(1, 5, 2))
-        _same_bytes(adaptive_avgpool2d(_var(x), out_h, out_w).value.data,
+        _same_bytes(adaptive_avgpool2d(_var(x), out_h, out_w).data,
                     mean_adaptive_avgpool2d(x, out_h, out_w))
 
 
@@ -640,9 +644,9 @@ def test_conv_forward_only_blocks_give_the_full_matrix_bytes(dtype, size, k, str
     w = rng.standard_normal((cout, c, k, k)).astype(dtype)
     b = _var(rng.standard_normal(cout).astype(dtype)) if bias else None
     spec = ConvSpec(c, cout, k, k, stride, pad, bias=bias)
-    full = conv2d(_var(x), _var(w, requires_grad=True), b, spec, Tape()).value.data
-    no_tape = conv2d(_var(x), _var(w), b, spec).value.data
-    frozen_w = conv2d(_var(x, requires_grad=True), _var(w), b, spec, Tape()).value.data
+    full = conv2d(_var(x), _var(w, requires_grad=True), b, spec, Tape()).data
+    no_tape = conv2d(_var(x), _var(w), b, spec).data
+    frozen_w = conv2d(_var(x, requires_grad=True), _var(w), b, spec, Tape()).data
     for got in (no_tape, frozen_w):
         _same_bytes(got, full)
         assert got.strides == full.strides
@@ -677,7 +681,6 @@ def test_bn_agrees_in_either_layout(dtype, tol, mode):
         if mode == "train" and shape[0] * shape[2] * shape[3] < 2:
             continue
         c = shape[1]
-        spec = BatchNormSpec(c)
         states = [BatchNormState(c, dtype) for _ in range(2)]
         x = (rng.standard_normal(shape) * scale + rng.standard_normal()).astype(dtype)
         gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
@@ -685,11 +688,11 @@ def test_bn_agrees_in_either_layout(dtype, tol, mode):
         results = []
         for state, xs, gs in zip(states, (x, _channel_major(x)), (g, _channel_major(g))):
             out, grads = _op_backward(
-                lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, spec, mode, tape),
+                lambda xv, gv, bv, tape: batchnorm2d(xv, gv, bv, state, mode, tape),
                 [xs, gamma, beta], gs)
             results.append((out, *grads, state.running_mean, state.running_var))
         x64 = x.astype(np.float64)
-        mean, std = x64.mean(axis=(0, 2, 3)), x64.std(axis=(0, 2, 3)) + spec.eps
+        mean, std = x64.mean(axis=(0, 2, 3)), x64.std(axis=(0, 2, 3)) + BN_EPS
         cond = 1.0 + np.max(np.abs(mean) / std) if mode == "train" else 1.0
         for got, want in zip(*results[::-1]):
             np.testing.assert_allclose(got, want, rtol=0,

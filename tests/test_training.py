@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from padlab import nn
-from padlab.autodiff import Tape, Tensor, Variable, backward
+from padlab.autodiff import Tape, Variable, backward
 from padlab.data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
                          gen_border_task)
 from padlab.errors import ConfigError, NumericError, TrainingDivergedError
@@ -63,7 +63,7 @@ def test_train_config_rejects_non_finite_values(field, value):
 # sgd
 
 def _param(arr):
-    v = Variable(Tensor(np.asarray(arr, np.float64)), requires_grad=True)
+    v = Variable(np.asarray(arr, np.float64), requires_grad=True)
     return v
 
 
@@ -71,14 +71,14 @@ def test_sgd_vanilla_step():
     p = _param([1.0, 2.0])
     p.grad = np.array([0.5, -0.5])
     sgd_step([p], {}, lr=0.1, momentum=0.0, weight_decay=0.0)
-    np.testing.assert_allclose(p.value.data, [0.95, 2.05])
+    np.testing.assert_allclose(p.data, [0.95, 2.05])
 
 
 def test_sgd_zero_grad_is_fixed_point():
     p = _param([3.0])
     p.grad = np.zeros(1)
     sgd_step([p], {}, lr=0.1, momentum=0.0, weight_decay=0.0)
-    np.testing.assert_allclose(p.value.data, [3.0])
+    np.testing.assert_allclose(p.data, [3.0])
 
 
 def test_sgd_momentum_matches_scalar_recurrence():
@@ -90,7 +90,7 @@ def test_sgd_momentum_matches_scalar_recurrence():
     for _ in range(3):
         p.grad = np.ones(1)
         sgd_step([p], velocity, lr=0.1, momentum=0.9, weight_decay=0.0)
-        got.append(float(p.value.data[0]))
+        got.append(float(p.data[0]))
     np.testing.assert_allclose(got, history, rtol=1e-12)
     # second step's effective update is lr * 1.9 * g
     assert got[1] - got[0] == pytest.approx(-0.1 * 1.9, rel=1e-12)
@@ -99,9 +99,9 @@ def test_sgd_momentum_matches_scalar_recurrence():
 def test_sgd_quadratic_contraction():
     # grad of 0.5*||w||^2 is w: one step scales w by (1 - lr) exactly
     p = _param([2.0, -4.0, 8.0])
-    p.grad = p.value.data.copy()
+    p.grad = p.data.copy()
     sgd_step([p], {}, lr=0.25, momentum=0.0, weight_decay=0.0)
-    np.testing.assert_allclose(p.value.data, np.array([2.0, -4.0, 8.0]) * 0.75,
+    np.testing.assert_allclose(p.data, np.array([2.0, -4.0, 8.0]) * 0.75,
                                rtol=0, atol=0)
 
 
@@ -109,7 +109,7 @@ def test_sgd_weight_decay_enters_velocity():
     p = _param([1.0])
     p.grad = np.zeros(1)
     sgd_step([p], {}, lr=0.1, momentum=0.0, weight_decay=0.5)
-    np.testing.assert_allclose(p.value.data, [1.0 - 0.1 * 0.5])
+    np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5])
 
 
 def test_sgd_nonfinite_grad_raises():
@@ -129,10 +129,10 @@ class _FixedModel:
         self.logits = np.asarray(logits, np.float32)
 
     def forward(self, batch, mode):
-        n = batch.shape[0] if hasattr(batch, "shape") else len(batch.value.data)
+        n = batch.shape[0]
         out = self.logits[:n]
         self.logits = self.logits[n:]
-        return Variable(Tensor(out))
+        return Variable(out)
 
 
 def _dataset(labels, size=8):
@@ -492,7 +492,7 @@ def test_nothing_that_outlives_a_step_sits_in_a_pool_block(family):
         loss = nn.softmax_cross_entropy(logits, np.arange(8) % 2, tape)
         grads = backward(loss, tape)
         sgd_step(model.parameters(), velocity, 0.01, 0.9, 1e-4)
-        kept = [logits.value.data, loss.value.data, *grads.values(), *velocity.values(),
+        kept = [logits.data, loss.data, *grads.values(), *velocity.values(),
                 *(p.grad for p in model.parameters()), *dict(model.named_buffers()).values()]
         assert pool.blocks and len(grads) == len(velocity) == len(model.parameters())
         for arr in kept:
@@ -508,7 +508,7 @@ def test_evaluate_logits_match_forward_outside_the_pool(monkeypatch):
 
     def recording_forward(batch, mode):
         logits = forward(batch, mode)
-        seen.append((batch.value.data, logits.value.data.tobytes()))
+        seen.append((batch.data, logits.data.tobytes()))
         return logits
 
     monkeypatch.setattr(model, "forward", recording_forward)
@@ -516,4 +516,4 @@ def test_evaluate_logits_match_forward_outside_the_pool(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == 4
     for batch, logits in seen:
-        assert model.forward(Variable(batch), "eval").value.data.tobytes() == logits
+        assert model.forward(Variable(batch), "eval").data.tobytes() == logits
