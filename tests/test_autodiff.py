@@ -20,6 +20,12 @@ def test_unknown_dtype_tag_is_a_config_error_naming_the_valid_tags(make, tag):
         make(tag)
 
 
+@pytest.mark.parametrize("shape", [[0, 2], [-1], [2, 0, 2, 2]])
+def test_kaiming_init_rejects_bad_dims(shape):
+    with pytest.raises(ShapeError):
+        kaiming_init(shape, Rng(0))
+
+
 def test_tensor_rank_bounds():
     with pytest.raises(ShapeError):
         Variable(np.zeros((2, 2, 2, 2, 2)))
