@@ -24,8 +24,8 @@ from .errors import (ConfigError, CorruptFileError, DataError, NumericError,
 from .models import FAMILIES, ModelSpec, build_model, normalize_family
 from .nn import PaddingMode
 from .rng import Rng
-from .training import (Checkpoint, RunLog, TrainConfig, evaluate, run_dir,
-                       save_run, split_train_val, train_run)
+from .training import (Checkpoint, RunLog, TrainConfig, evaluate, save_run,
+                       split_train_val, train_run)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,9 +205,7 @@ def _run_one_seed(config_path: str, seed: int) -> dict:
     except TrainingDivergedError as exc:
         partial = getattr(exc, "runlog", None)
         if partial is not None and partial.records:
-            d = run_dir(exp.out_dir, partial.spec_id, seed)
-            d.mkdir(parents=True, exist_ok=True)
-            (d / "runlog.csv").write_text(partial.to_csv())
+            save_run(exp.out_dir, partial)
         raise
     d = save_run(exp.out_dir, log, best)
     return {"seed": seed, "dir": str(d), "best_epoch": best.epoch,

@@ -52,18 +52,23 @@ class ConvSpec:
             raise InvalidPadError("pad must be non-negative")
 
 
-def _out_var(data, inputs):
+def _out(data, inputs, tape, backward_fn) -> Variable:
+    """The op's output Variable; `tape` records backward_fn if some input requires grad."""
     if not 1 <= data.ndim <= 4 or 0 in data.shape:
         raise ShapeError(f"rank must be 1..4 and all dims >= 1, got shape {data.shape}")
     out = Variable.__new__(Variable)  # op outputs are f32/f64 already; keep their order
     out.data, out.grad, out.name = data, None, None  # no .grad: backward() only fills leaves
     out.requires_grad = any([v.requires_grad for v in inputs])
+    if tape is not None and out.requires_grad:
+        tape.record(inputs, out, backward_fn)
     return out
 
 
-def _record(tape, inputs, out, backward_fn):
-    if tape is not None and out.requires_grad:
-        tape.record(inputs, out, backward_fn)
+def _nchw(x: Variable, op: str) -> np.ndarray:
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError(f"{op} expects rank 4, got {xd.shape}")
+    return xd
 
 
 _pool = None  # the Pool of the innermost `with Pool():`, else None
@@ -149,36 +154,29 @@ def _pad_frame(xd: np.ndarray, pad: int, value: float) -> np.ndarray:
 def pad2d(x: Variable, pad: int, mode: PaddingMode = PaddingMode.ZERO,
           tape: Tape | None = None) -> Variable:
     """Pad the two spatial axes of an (N, C, H, W) Variable by `pad` on each side."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"pad2d expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "pad2d")
     if pad < 0:
         raise InvalidPadError("pad must be non-negative")
     if pad == 0:
         return x
     _, _, h, w = xd.shape
     if mode is PaddingMode.ZERO:
-        out = _out_var(_pad_frame(xd, pad, 0.0), (x,))
-
         def backward_zero(g):
             return (g[:, :, pad:-pad, pad:-pad],)
 
-        _record(tape, (x,), out, backward_zero)
-        return out
+        return _out(_pad_frame(xd, pad, 0.0), (x,), tape, backward_zero)
 
     if mode is PaddingMode.REFLECT and pad >= min(h, w):
         raise InvalidPadError(
             f"reflect pad {pad} needs pad < min spatial dim {min(h, w)}")
     ridx = _border_index(h, pad, mode)
     cidx = _border_index(w, pad, mode)
-    out = _out_var(xd.take(ridx, 2).take(cidx, 3), (x,))  # NCHW, as conv2d reads it
 
     def backward_border(g):
         folded = _fold_axis(g, ridx, axis=2, n=h)
         return (_fold_axis(folded, cidx, axis=3, n=w),)
 
-    _record(tape, (x,), out, backward_border)
-    return out
+    return _out(xd.take(ridx, 2).take(cidx, 3), (x,), tape, backward_border)  # NCHW for conv2d
 
 
 def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
@@ -189,18 +187,15 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
     keeps it 1 everywhere, which defeats the marker; model builders reject
     that combination.
     """
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"attach_pad_channel expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "attach_pad_channel")
     n, c, h, w = xd.shape
-    out = _out_var(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1,
-                                  out=_pool and _pool.empty((n, c + 1, h, w), xd.dtype)), (x,))
 
     def backward_attach(g):
         return (g[:, :c],)
 
-    _record(tape, (x,), out, backward_attach)
-    return out
+    return _out(np.concatenate([xd, np.ones((n, 1, h, w), xd.dtype)], axis=1,
+                               out=_pool and _pool.empty((n, c + 1, h, w), xd.dtype)),
+                (x,), tape, backward_attach)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +283,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     Padding per spec.pad / spec.padding_mode is applied first as a separate
     pad2d op; the core here always runs on the already-padded tensor.
     """
-    xd, wd = x.data, weight.data
-    if xd.ndim != 4:
-        raise ShapeError(f"conv2d expects rank 4, got {xd.shape}")
+    xd, wd = _nchw(x, "conv2d"), weight.data
     if xd.shape[1] != spec.in_channels:
         raise ShapeError(
             f"input has {xd.shape[1]} channels, spec expects {spec.in_channels}")
@@ -327,9 +320,6 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
                       out=out_mat[:, i * m:(i + step) * m])
     if bias is not None:
         out_mat += bias.data[:, None]
-    out_data = out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _out_var(out_data, inputs)
 
     def backward_conv(g):
         gmat = g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
@@ -350,8 +340,8 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
             db = gmat.sum(axis=1)  # contiguous rows: the same bytes in any layout of g
         return (dx, dw) if bias is None else (dx, dw, db)
 
-    _record(tape, inputs, out, backward_conv)
-    return out
+    return _out(out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3),
+                (x, weight) if bias is None else (x, weight, bias), tape, backward_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +367,11 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     Steps write into arrays this op owns, in the order of the plain
     expressions, so the bytes are theirs with fewer full-size temporaries.
     """
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"batchnorm2d expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "batchnorm2d")
     n, c, h, w = xd.shape
     gd = gamma.data
     if c != len(gd):
         raise ShapeError(f"input has {c} channels, gamma has {len(gd)}")
-    inputs = (x, gamma, beta)
 
     if mode == "train":
         m = n * h * w
@@ -410,7 +397,6 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     xhat *= inv4
     np.multiply(xhat, gd4, out=out)
     out += beta.data[None, :, None, None]
-    out = _out_var(out, inputs)
 
     def backward_bn(g):
         tmp = np.multiply(g, xhat, out=_pool and _like(g, xhat))  # scratch
@@ -430,8 +416,7 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
             dx = g * (gd * inv)[None, :, None, None]
         return dx, dgamma, dbeta
 
-    _record(tape, inputs, out, backward_bn)
-    return out
+    return _out(out, (x, gamma, beta), tape, backward_bn)
 
 
 # ---------------------------------------------------------------------------
@@ -451,66 +436,52 @@ def kaiming_init(shape, rng: Rng, dtype: str = "f32") -> np.ndarray:
 
 def relu(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.data
-    out = _out_var(np.maximum(xd, 0, out=_pool and _like(xd)), (x,))
-    _record(tape, (x,), out,
-            lambda g: (np.multiply(g, xd > 0, out=_pool and _like(g, xd)),))
-    return out
+    return _out(np.maximum(xd, 0, out=_pool and _like(xd)), (x,), tape,
+                lambda g: (np.multiply(g, xd > 0, out=_pool and _like(g, xd)),))
 
 
 def add(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"add shape mismatch: {ad.shape} vs {bd.shape}")
-    out = _out_var(ad + bd, (a, b))
-    _record(tape, (a, b), out, lambda g: (g, g))
-    return out
+    return _out(ad + bd, (a, b), tape, lambda g: (g, g))
 
 
 def mul(a: Variable, b: Variable, tape: Tape | None = None) -> Variable:
     ad, bd = a.data, b.data
     if ad.shape != bd.shape:
         raise ShapeError(f"mul shape mismatch: {ad.shape} vs {bd.shape}")
-    out = _out_var(ad * bd, (a, b))
-    _record(tape, (a, b), out, lambda g: (g * bd, g * ad))
-    return out
+    return _out(ad * bd, (a, b), tape, lambda g: (g * bd, g * ad))
 
 
 def sum_all(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.data
-    out = _out_var(xd.sum().reshape(1), (x,))
-    _record(tape, (x,), out,
-            lambda g: (np.full(xd.shape, g.reshape(()), dtype=xd.dtype),))
-    return out
+    return _out(xd.sum().reshape(1), (x,), tape,
+                lambda g: (np.full(xd.shape, g.reshape(()), dtype=xd.dtype),))
 
 
 def mean_all(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.data
-    out = _out_var(xd.mean().reshape(1), (x,))
-    _record(tape, (x,), out,
-            lambda g: (np.full(xd.shape, g.reshape(()) / xd.size, dtype=xd.dtype),))
-    return out
+    return _out(xd.mean().reshape(1), (x,), tape,
+                lambda g: (np.full(xd.shape, g.reshape(()) / xd.size, dtype=xd.dtype),))
 
 
 def flatten(x: Variable, tape: Tape | None = None) -> Variable:
     xd = x.data
-    out = _out_var(xd.reshape(xd.shape[0], -1), (x,))
 
     def backward_flatten(g):
         dx = np.empty_like(xd, dtype=g.dtype)  # the gradient in x's memory order
         dx[...] = g.reshape(xd.shape)
         return (dx,)
 
-    _record(tape, (x,), out, backward_flatten)
-    return out
+    return _out(xd.reshape(xd.shape[0], -1), (x,), tape, backward_flatten)
 
 
 def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
               tape: Tape | None = None) -> Variable:
     """Max over kernel x kernel windows; padded cells never win, ties go to the first.
     pad is at most kernel // 2, so every window holds a real cell."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"maxpool2d expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "maxpool2d")
     if kernel < 1 or stride < 1:
         raise ShapeError(f"pool kernel and stride must be >= 1, got {kernel} and {stride}")
     if not 0 <= pad <= kernel // 2:
@@ -539,9 +510,9 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         top, bottom = pairs[:, 0], pairs[:, 1]
         out_buf = np.maximum(top, bottom,
                              out=_pool and _pool.empty(top.shape, buf.dtype)).reshape(shape)
-        out = _out_var(out_buf.transpose(1, 0, 2, 3) if cm else out_buf, (x,))
-        if tape is None or not out.requires_grad:
-            return out
+        out_data = out_buf.transpose(1, 0, 2, 3) if cm else out_buf
+        if tape is None or not x.requires_grad:
+            return _out(out_data, (x,), None, None)
         # the two masks wait for backward as bits: as bools they would raise a
         # batch-64 tinyvgg-pc step's tracemalloc peak, which they live across
         left_bits, top_bits = np.packbits(left >= right), np.packbits(top >= bottom)
@@ -561,14 +532,12 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
             dflat += 0.0  # as 0 + g * hit does: -0.0 becomes +0.0
             return (dx.transpose(1, 0, 2, 3) if cm else dx,)
 
-        _record(tape, (x,), out, backward_rows)
-        return out
+        return _out(out_data, (x,), tape, backward_rows)
     taps = [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
             for i in range(kernel) for j in range(kernel)]
     out_data = xd[taps[0]].copy(order="K")
     for tap in taps[1:]:
         np.maximum(out_data, xd[tap], out=out_data)
-    out = _out_var(out_data, (x,))
 
     def backward_pool(g):
         dxp = np.zeros_like(xd, dtype=g.dtype)
@@ -583,28 +552,22 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
             dxp = dxp[:, :, pad:-pad, pad:-pad]
         return (dxp,)
 
-    _record(tape, (x,), out, backward_pool)
-    return out
+    return _out(out_data, (x,), tape, backward_pool)
 
 
 def global_avgpool(x: Variable, tape: Tape | None = None) -> Variable:
     """Mean over the spatial axes: (N, C, H, W) -> (N, C)."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"global_avgpool expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "global_avgpool")
     _, _, h, w = xd.shape
-    out = _out_var(xd.sum(axis=(2, 3)) / (h * w), (x,))
-    _record(tape, (x,), out, lambda g: (np.divide(  # dx in x's memory order
-        g[:, :, None, None], h * w, out=np.empty_like(xd, dtype=g.dtype)),))
-    return out
+    return _out(xd.sum(axis=(2, 3)) / (h * w), (x,), tape,
+                lambda g: (np.divide(g[:, :, None, None], h * w,  # dx in x's memory order
+                                     out=np.empty_like(xd, dtype=g.dtype)),))
 
 
 def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
                        tape: Tape | None = None) -> Variable:
     """Average pooling to a fixed output size using proportional bins."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"adaptive_avgpool2d expects rank 4, got {xd.shape}")
+    xd = _nchw(x, "adaptive_avgpool2d")
     n, c, h, w = xd.shape
     hb = [(i * h // out_h, -(-(i + 1) * h // out_h)) for i in range(out_h)]
     wb = [(j * w // out_w, -(-(j + 1) * w // out_w)) for j in range(out_w)]
@@ -613,7 +576,6 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
         for j, (w0, w1) in enumerate(wb):
             out_data[:, :, i, j] = (xd[:, :, h0:h1, w0:w1].sum(axis=(2, 3))
                                     / ((h1 - h0) * (w1 - w0)))
-    out = _out_var(out_data, (x,))
 
     def backward_adaptive(g):
         dx = np.zeros((n, c, h, w), dtype=g.dtype)
@@ -623,8 +585,7 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
                 dx[:, :, h0:h1, w0:w1] += g[:, :, i:i + 1, j:j + 1] / area
         return (dx,)
 
-    _record(tape, (x,), out, backward_adaptive)
-    return out
+    return _out(out_data, (x,), tape, backward_adaptive)
 
 
 def linear(x: Variable, weight: Variable, bias: Variable | None,
@@ -636,8 +597,6 @@ def linear(x: Variable, weight: Variable, bias: Variable | None,
     out_mat = xd @ wd.T
     if bias is not None:
         out_mat = out_mat + bias.data
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _out_var(out_mat, inputs)
 
     def backward_linear(g):
         dx = g @ wd if x.requires_grad else None
@@ -647,8 +606,8 @@ def linear(x: Variable, weight: Variable, bias: Variable | None,
         db = g.sum(axis=0) if bias.requires_grad else None
         return dx, dw, db
 
-    _record(tape, inputs, out, backward_linear)
-    return out
+    return _out(out_mat, (x, weight) if bias is None else (x, weight, bias), tape,
+                backward_linear)
 
 
 def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
@@ -663,9 +622,7 @@ def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
     xd = x.data
     keep = rng.uniform(xd.shape, dtype=np.float64) >= p
     mask = keep.astype(xd.dtype) / (1.0 - p)
-    out = _out_var(xd * mask, (x,))
-    _record(tape, (x,), out, lambda g: (g * mask,))
-    return out
+    return _out(xd * mask, (x,), tape, lambda g: (g * mask,))
 
 
 def softmax(x: Variable, tape: Tape | None = None) -> Variable:
@@ -673,10 +630,8 @@ def softmax(x: Variable, tape: Tape | None = None) -> Variable:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _out_var(p, (x,))
-    _record(tape, (x,), out,
-            lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
-    return out
+    return _out(p, (x,), tape,
+                lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def softmax_cross_entropy(logits: Variable, labels: np.ndarray,
@@ -697,12 +652,10 @@ def softmax_cross_entropy(logits: Variable, labels: np.ndarray,
     logp = z - lse
     rows = np.arange(n)
     loss = -logp[rows, labels].mean()
-    out = _out_var(np.asarray([loss], dtype=ld.dtype), (logits,))
 
     def backward_ce(g):
         grad = np.exp(logp)
         grad[rows, labels] -= 1.0
         return (grad * (g.reshape(()) / n),)
 
-    _record(tape, (logits,), out, backward_ce)
-    return out
+    return _out(np.asarray([loss], dtype=ld.dtype), (logits,), tape, backward_ce)

@@ -14,6 +14,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -114,6 +115,10 @@ class RunLog:
                 nums = [float(row[k]) for k in ("train_loss", "val_top1", "lr", "wall_seconds")]
                 if not all(map(math.isfinite, nums)):
                     raise CorruptFileError(f"run log holds a non-finite number: {row}")
+                if not 0 <= nums[1] <= 100:
+                    raise CorruptFileError(f"run log val_top1 is outside [0, 100]: {row}")
+                if (row["spec_id"], int(row["seed"])) != (log.spec_id, log.seed):
+                    raise CorruptFileError(f"run log rows differ in spec_id or seed: {row}")
                 log.records.append(EpochRecord(int(row["epoch"]), *nums))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"run log is not {cls.CSV_HEADER}: {exc!r}") from exc
@@ -274,14 +279,11 @@ def split_train_val(ds: Dataset, val_fraction: float = 0.2):
     return ds[:-n_val], ds[-n_val:]
 
 
-def run_dir(out_dir, spec_id: str, seed: int):
-    from pathlib import Path
-    return Path(out_dir) / spec_id / str(seed)
-
-
-def save_run(out_dir, log: RunLog, best: Checkpoint):
-    d = run_dir(out_dir, log.spec_id, log.seed)
+def save_run(out_dir, log: RunLog, best: Checkpoint | None = None) -> Path:
+    """Write <out_dir>/<spec_id>/<seed>/runlog.csv, and best.ckpt when given one."""
+    d = Path(out_dir) / log.spec_id / str(log.seed)
     d.mkdir(parents=True, exist_ok=True)
     (d / "runlog.csv").write_text(log.to_csv())
-    best.save(d / "best.ckpt")
+    if best is not None:
+        best.save(d / "best.ckpt")
     return d

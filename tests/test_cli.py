@@ -524,6 +524,14 @@ def test_compare_identical_groups_null_case(tmp_path, capsys):
      "non-finite"),
     ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,inf,99,0.02,1\n",
      "non-finite"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,0.5,250.0,0.02,1\n",
+     "val_top1 is outside [0, 100]"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,0.5,-3,0.02,1\n",
+     "val_top1 is outside [0, 100]"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,0.5,90,0.02,1\n"
+     "tinyvgg-pc,0,1,0.4,95,0.02,1\n", "differ in spec_id or seed"),
+    ("spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\ntinyvgg,0,0,0.5,90,0.02,1\n"
+     "tinyvgg,7,1,0.4,95,0.02,1\n", "differ in spec_id or seed"),
 ])
 def test_compare_malformed_runlogs_exit_2(tmp_path, capsys, text, message):
     for side in ("a", "b"):

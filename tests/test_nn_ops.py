@@ -9,10 +9,10 @@ from padlab.autodiff import Tape, Variable, backward
 from padlab.errors import (ConfigError, DegenerateBatchError, GeometryError,
                            InvalidLabelError, InvalidPadError, ShapeError)
 from padlab.nn import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvSpec,
-                       PaddingMode, adaptive_avgpool2d, attach_pad_channel,
-                       batchnorm2d, conv2d, dropout, global_avgpool,
-                       kaiming_init, linear, maxpool2d, mul, pad2d, relu,
-                       softmax, softmax_cross_entropy, sum_all)
+                       PaddingMode, adaptive_avgpool2d, add, attach_pad_channel,
+                       batchnorm2d, conv2d, dropout, flatten, global_avgpool,
+                       kaiming_init, linear, maxpool2d, mean_all, mul, pad2d,
+                       relu, softmax, softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
 from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
@@ -827,3 +827,94 @@ def test_conv_stride1_dx_blocks_match_the_fold():
     wt = rng.standard_normal((8, 4, 3, 3)).astype(np.float32)
     assert _COL_BLOCK_BYTES // (36 * 31 * 33 * 4) == 3
     _conv_dx_against_fold(x, wt, _signed_zero_grad(rng, (8, 8, 31, 31), np.float32))
+
+
+# ---------------------------------------------------------------------------
+# the op exit: what every op records, and its rank-4 check
+
+# id -> (op name, input shapes, call(variables, tape))
+RECORDING_CASES = {
+    "pad2d-zero": ("pad2d", [(2, 3, 4, 4)],
+                   lambda v, t: pad2d(v[0], 1, PaddingMode.ZERO, tape=t)),
+    "pad2d-reflect": ("pad2d", [(2, 3, 4, 4)],
+                      lambda v, t: pad2d(v[0], 1, PaddingMode.REFLECT, tape=t)),
+    "attach_pad_channel": ("attach_pad_channel", [(2, 3, 4, 4)],
+                           lambda v, t: attach_pad_channel(v[0], tape=t)),
+    "conv2d-bias": ("conv2d", [(2, 3, 4, 4), (5, 3, 3, 3), (5,)],
+                    lambda v, t: conv2d(v[0], v[1], v[2], ConvSpec(3, 5, 3, 3), t)),
+    "conv2d-no-bias": ("conv2d", [(2, 3, 4, 4), (5, 3, 3, 3)],
+                       lambda v, t: conv2d(v[0], v[1], None,
+                                           ConvSpec(3, 5, 3, 3, bias=False), t)),
+    "batchnorm2d-train": ("batchnorm2d", [(2, 3, 4, 4), (3,), (3,)],
+                          lambda v, t: batchnorm2d(v[0], v[1], v[2],
+                                                   BatchNormState(3, np.float64), "train", t)),
+    "batchnorm2d-eval": ("batchnorm2d", [(2, 3, 4, 4), (3,), (3,)],
+                         lambda v, t: batchnorm2d(v[0], v[1], v[2],
+                                                  BatchNormState(3, np.float64), "eval", t)),
+    "relu": ("relu", [(2, 3, 4, 4)], lambda v, t: relu(v[0], t)),
+    "add": ("add", [(2, 3), (2, 3)], lambda v, t: add(v[0], v[1], t)),
+    "mul": ("mul", [(2, 3), (2, 3)], lambda v, t: mul(v[0], v[1], t)),
+    "sum_all": ("sum_all", [(2, 3)], lambda v, t: sum_all(v[0], t)),
+    "mean_all": ("mean_all", [(2, 3)], lambda v, t: mean_all(v[0], t)),
+    "flatten": ("flatten", [(2, 3, 4, 4)], lambda v, t: flatten(v[0], t)),
+    "maxpool2d-rows": ("maxpool2d", [(2, 3, 4, 4)],
+                       lambda v, t: maxpool2d(v[0], 2, 2, tape=t)),
+    "maxpool2d-taps": ("maxpool2d", [(2, 3, 5, 5)],
+                       lambda v, t: maxpool2d(v[0], 3, 2, 1, tape=t)),
+    "global_avgpool": ("global_avgpool", [(2, 3, 4, 4)],
+                       lambda v, t: global_avgpool(v[0], t)),
+    "adaptive_avgpool2d": ("adaptive_avgpool2d", [(2, 3, 5, 5)],
+                           lambda v, t: adaptive_avgpool2d(v[0], 2, 2, t)),
+    "linear": ("linear", [(2, 6), (4, 6), (4,)], lambda v, t: linear(v[0], v[1], v[2], t)),
+    "dropout-train": ("dropout", [(2, 6)],
+                      lambda v, t: dropout(v[0], 0.5, "train", Rng(0), t)),
+    "softmax": ("softmax", [(2, 5)], lambda v, t: softmax(v[0], t)),
+    "softmax_cross_entropy": ("softmax_cross_entropy", [(2, 5)],
+                              lambda v, t: softmax_cross_entropy(v[0], np.array([0, 3]), t)),
+}
+
+
+@pytest.mark.parametrize("case", RECORDING_CASES)
+def test_op_records_one_entry_only_with_a_tape_and_an_input_requiring_grad(
+        case, monkeypatch):
+    op, shapes, call = RECORDING_CASES[case]
+    recorded, record = [], Tape.record
+
+    def counting_record(tape, *args):
+        recorded.append(args)
+        record(tape, *args)
+
+    monkeypatch.setattr(Tape, "record", counting_record)
+    rng = np.random.default_rng(0)
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    # no input, each input alone, and every input requiring grad
+    patterns = [[False] * len(arrays), [True] * len(arrays)]
+    patterns += [[i == j for j in range(len(arrays))] for i in range(len(arrays))]
+    for flags in patterns:
+        for tape in (None, Tape()):
+            recorded.clear()
+            out = call([Variable(a, requires_grad=f) for a, f in zip(arrays, flags)], tape)
+            assert out.requires_grad == any(flags)
+            assert len(recorded) == (tape is not None and any(flags))
+            if recorded:
+                assert len(tape) == 1 and tape.entries[0].output is out
+                assert tape.entries[0].backward_fn.__qualname__.startswith(op + ".")
+
+
+RANK4_OPS = {
+    "pad2d": lambda x: pad2d(x, 1),
+    "attach_pad_channel": attach_pad_channel,
+    "conv2d": lambda x: conv2d(x, _var(np.ones((1, 3, 1, 1))), None,
+                               ConvSpec(3, 1, 1, 1, bias=False)),
+    "batchnorm2d": lambda x: batchnorm2d(x, _var(np.ones(3)), _var(np.zeros(3)),
+                                         BatchNormState(3, np.float64), "train"),
+    "maxpool2d": lambda x: maxpool2d(x, 2, 2),
+    "global_avgpool": global_avgpool,
+    "adaptive_avgpool2d": lambda x: adaptive_avgpool2d(x, 1, 1),
+}
+
+
+@pytest.mark.parametrize("op", RANK4_OPS)
+def test_nchw_op_rejects_a_rank_3_input_naming_itself(op):
+    with pytest.raises(ShapeError, match=rf"^{op} expects rank 4, got \(3, 4, 4\)$"):
+        RANK4_OPS[op](_var(np.ones((3, 4, 4))))
