@@ -70,6 +70,16 @@ class TrainAugment:
     scale: tuple = (0.08, 1.0)
     aspect: tuple = (3.0 / 4.0, 4.0 / 3.0)
 
+    def __post_init__(self):
+        for key in ("scale", "aspect"):
+            pair = getattr(self, key)
+            if not (len(pair) == 2 and np.isfinite(pair).all() and 0 < pair[0] <= pair[1]):
+                raise ConfigError(f"augment.train.{key} must be two finite numbers "
+                                  f"with 0 < low <= high, got {list(pair)}")
+        if not 0 <= self.horizontal_flip_prob <= 1:
+            raise ConfigError("augment.train.horizontal_flip_prob must lie in [0, 1], "
+                              f"got {self.horizontal_flip_prob}")
+
 
 @dataclass(frozen=True)
 class EvalAugment:
@@ -214,18 +224,20 @@ def augment_train(pixels: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarra
     for _ in range(10):
         target = area * float(rng.uniform((), t.scale[0], t.scale[1], np.float64))
         log_lo, log_hi = np.log(t.aspect[0]), np.log(t.aspect[1])
-        ratio = float(np.exp(rng.uniform((), log_lo, log_hi, np.float64)))
-        cw_try = int(round(np.sqrt(target * ratio)))
-        ch_try = int(round(np.sqrt(target / ratio)))
+        ratio = np.exp(rng.uniform((), log_lo, log_hi, np.float64))
+        # numpy scalars: an overflow or a zero ratio gives inf, and rint rounds
+        # half to even as round() does but keeps the inf, which fails the fit test
+        cw_try = np.rint(np.sqrt(target * ratio))
+        ch_try = np.rint(np.sqrt(target / ratio))
         if 0 < cw_try <= w and 0 < ch_try <= h:
-            ch, cw = ch_try, cw_try
+            ch, cw = int(ch_try), int(cw_try)
             break
-    if ch is None:  # centered fallback, aspect clamped
+    if ch is None:  # centered fallback, aspect clamped, no side below 1
         in_ratio = w / h
         if in_ratio < t.aspect[0]:
-            cw, ch = w, min(h, int(round(w / t.aspect[0])))
+            cw, ch = w, max(1, min(h, int(round(w / t.aspect[0]))))
         elif in_ratio > t.aspect[1]:
-            ch, cw = h, min(w, int(round(h * t.aspect[1])))
+            ch, cw = h, max(1, min(w, int(round(h * t.aspect[1]))))
         else:
             ch, cw = h, w
         top, left = (h - ch) // 2, (w - cw) // 2

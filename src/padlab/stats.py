@@ -56,25 +56,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        # the even then the odd coefficient of term m, one Lentz step each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < _TOL:
             return h
     return h  # converged to working precision in practice; 300 is a hard cap
@@ -108,44 +101,45 @@ def t_cdf(t: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 # two-sample tests
 
-def pooled_t_one_sided(base, treated) -> tuple[float, float]:
-    """Pooled-variance Student t; p is one-sided for 'treated mean > base mean'.
-
-    With zero pooled variance: equal means give p = 0.5; otherwise p is 0.0 or
-    1.0 by the sign of the difference (degenerate but well-defined).
-    """
+def _two_groups(base, treated) -> tuple[list, list]:
     base, treated = list(base), list(treated)
-    n1, n2 = len(base), len(treated)
-    if n1 < 2 or n2 < 2:
+    if len(base) < 2 or len(treated) < 2:
         raise DegenerateSampleError("both groups need at least two runs")
+    return base, treated
+
+
+def _t_one_sided(m1: float, m2: float, se2: float, df) -> tuple[float, float]:
+    """t = (m2 - m1) / sqrt(se2) and p = P(T_df > t). Zero se2 is degenerate but
+    well-defined: equal means give (0.0, 0.5), others (inf or -inf, 0.0 or 1.0)."""
+    if se2 == 0.0:
+        if m2 == m1:
+            return 0.0, 0.5
+        return (math.inf if m2 > m1 else -math.inf), (0.0 if m2 > m1 else 1.0)
+    t = (m2 - m1) / math.sqrt(se2)
+    return t, 1.0 - t_cdf(t, df)
+
+
+def pooled_t_one_sided(base, treated) -> tuple[float, float]:
+    """Pooled-variance Student t; p is one-sided for 'treated mean > base mean'."""
+    base, treated = _two_groups(base, treated)
+    n1, n2 = len(base), len(treated)
     m1, m2 = mean(base), mean(treated)
     s1, s2 = sample_stdev(base), sample_stdev(treated)
     df = n1 + n2 - 2
     pooled = ((n1 - 1) * s1 * s1 + (n2 - 1) * s2 * s2) / df
-    if pooled == 0.0:
-        if m2 == m1:
-            return 0.0, 0.5
-        return (math.inf if m2 > m1 else -math.inf), (0.0 if m2 > m1 else 1.0)
-    t = (m2 - m1) / math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
-    return t, 1.0 - t_cdf(t, df)
+    return _t_one_sided(m1, m2, pooled * (1.0 / n1 + 1.0 / n2), df)
 
 
 def welch_t_one_sided(base, treated) -> tuple[float, float]:
     """Welch's unequal-variance variant, for sensitivity analysis."""
-    base, treated = list(base), list(treated)
+    base, treated = _two_groups(base, treated)
     n1, n2 = len(base), len(treated)
-    if n1 < 2 or n2 < 2:
-        raise DegenerateSampleError("both groups need at least two runs")
     m1, m2 = mean(base), mean(treated)
     v1 = sample_stdev(base) ** 2 / n1
     v2 = sample_stdev(treated) ** 2 / n2
-    if v1 + v2 == 0.0:
-        if m2 == m1:
-            return 0.0, 0.5
-        return (math.inf if m2 > m1 else -math.inf), (0.0 if m2 > m1 else 1.0)
-    t = (m2 - m1) / math.sqrt(v1 + v2)
-    df = (v1 + v2) ** 2 / (v1 ** 2 / (n1 - 1) + v2 ** 2 / (n2 - 1))
-    return t, 1.0 - t_cdf(t, df)
+    # Welch-Satterthwaite df, undefined when both groups are constant
+    df = (v1 + v2) ** 2 / (v1 ** 2 / (n1 - 1) + v2 ** 2 / (n2 - 1)) if v1 + v2 else None
+    return _t_one_sided(m1, m2, v1 + v2, df)
 
 
 def variance_ratio_one_sided(base, treated) -> tuple[float, float]:
@@ -155,9 +149,7 @@ def variance_ratio_one_sided(base, treated) -> tuple[float, float]:
     p = P(F(d1, d2) >= F) = I_{d2 / (d2 + d1 F)}(d2 / 2, d1 / 2). A constant
     treated group gives F = inf and p = 0.0, unless both are constant (F = 1).
     """
-    base, treated = list(base), list(treated)
-    if len(base) < 2 or len(treated) < 2:
-        raise DegenerateSampleError("both groups need at least two runs")
+    base, treated = _two_groups(base, treated)
     v1, v2 = sample_stdev(base) ** 2, sample_stdev(treated) ** 2
     d1, d2 = len(base) - 1, len(treated) - 1
     f = v1 / v2 if v2 else (math.inf if v1 else 1.0)
@@ -200,12 +192,14 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("arch,n,mean_base,mean_pc,mean_diff,stdev_base,stdev_pc,"
-                  "stdev_diff,t,p_one_sided\n")
+        writer = csv.writer(out, lineterminator="\n")  # quotes an arch holding a comma
+        writer.writerow(["arch", "n", "mean_base", "mean_pc", "mean_diff", "stdev_base",
+                         "stdev_pc", "stdev_diff", "t", "p_one_sided"])
         for r in self.rows:
-            out.write(f"{r.arch},{r.n},{r.mean_base:.6f},{r.mean_pc:.6f},"
-                      f"{r.mean_diff:+.6f},{r.stdev_base:.6f},{r.stdev_pc:.6f},"
-                      f"{r.stdev_diff:+.6f},{r.t:.6f},{r.p_one_sided:.6f}\n")
+            writer.writerow([r.arch, r.n, f"{r.mean_base:.6f}", f"{r.mean_pc:.6f}",
+                             f"{r.mean_diff:+.6f}", f"{r.stdev_base:.6f}",
+                             f"{r.stdev_pc:.6f}", f"{r.stdev_diff:+.6f}", f"{r.t:.6f}",
+                             f"{r.p_one_sided:.6f}"])
         return out.getvalue()
 
     def to_text(self) -> str:
@@ -221,29 +215,24 @@ class ComparisonReport:
 
 def summarize(groups, use_welch: bool = False) -> ComparisonReport:
     """Pair base/pc groups per architecture and run the one-sided test."""
-    by_arch: dict[str, dict[str, RunGroup]] = {}
-    order: list[str] = []
+    by_arch: dict[str, dict[str, RunGroup]] = {}  # in first-seen order
     for g in groups:
-        if g.arch not in by_arch:
-            by_arch[g.arch] = {}
-            order.append(g.arch)
-        by_arch[g.arch][g.variant] = g
+        by_arch.setdefault(g.arch, {})[g.variant] = g
     rows = []
     test = welch_t_one_sided if use_welch else pooled_t_one_sided
-    for arch in order:
-        pair = by_arch[arch]
+    for arch, pair in by_arch.items():
         if "base" not in pair or "pc" not in pair:
             raise MissingPairError(f"{arch}: need both base and pc run groups")
         base, pc = pair["base"].best_top1, pair["pc"].best_top1
         t, p = test(base, pc)
-        rows.append(ComparisonRow(arch, min(len(base), len(pc)),
-                                  mean(base), mean(pc),
+        rows.append(ComparisonRow(arch, min(len(base), len(pc)), mean(base), mean(pc),
                                   sample_stdev(base), sample_stdev(pc), t, p))
     return ComparisonReport(rows)
 
 
 def bar_chart_svg(report: ComparisonReport, which: str = "mean") -> str:
     """Static SVG with paired base/pc bars per architecture."""
+    from xml.sax.saxutils import escape  # not at the top: it pulls in urllib.request
     if which == "mean":
         pick = lambda r: (r.mean_base, r.mean_pc)
         title = "mean best top-1 (%)"
@@ -285,7 +274,7 @@ def bar_chart_svg(report: ComparisonReport, which: str = "mean") -> str:
             parts.append(f'<text x="{x + bar_w / 2:.1f}" y="{top - 4:.1f}" '
                          f'text-anchor="middle" font-size="9">{v:.3f}</text>')
         parts.append(f'<text x="{x0 + bar_w:.1f}" y="{height - margin + 16}" '
-                     f'text-anchor="middle" font-size="11">{r.arch}</text>')
+                     f'text-anchor="middle" font-size="11">{escape(r.arch)}</text>')
     parts.append(f'<text x="{margin}" y="{margin - 6}" font-size="10">'
                  f'grey = base, blue = pc</text>')
     parts.append("</svg>")
@@ -294,21 +283,16 @@ def bar_chart_svg(report: ComparisonReport, which: str = "mean") -> str:
 
 def groups_from_csv(text: str) -> list[RunGroup]:
     """Parse `arch,variant,run,best_top1` rows into ordered RunGroups."""
-    reader = csv.DictReader(io.StringIO(text))
-    groups: dict[tuple[str, str], RunGroup] = {}
-    order = []
-    for row in reader:
+    groups: dict[tuple[str, str], RunGroup] = {}  # in first-seen order
+    for row in csv.DictReader(io.StringIO(text)):
         key = (row["arch"], row["variant"])
-        if key not in groups:
-            groups[key] = RunGroup(row["arch"], row["variant"], [])
-            order.append(key)
-        groups[key].best_top1.append(float(row["best_top1"]))
-    return [groups[k] for k in order]
+        group = groups.setdefault(key, RunGroup(*key, []))
+        group.best_top1.append(float(row["best_top1"]))
+    return list(groups.values())
 
 
 def load_reference_runs() -> list[RunGroup]:
     """The committed fixture of reference run accuracies (5 runs per variant)."""
     from importlib import resources
-    text = resources.files("padlab").joinpath(
-        "fixtures/reference_runs.csv").read_text()
+    text = resources.files("padlab").joinpath("fixtures/reference_runs.csv").read_text()
     return groups_from_csv(text)

@@ -1,6 +1,9 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -319,6 +322,43 @@ def test_train_config_missing_augment_key_exits_1(tmp_path, capsys):
     assert "random_resized_crop_size" in err
 
 
+def _augment(**train):
+    return {"train": {"random_resized_crop_size": 32, **train},
+            "eval": {"resize_size": 32, "center_crop_size": 32}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scale", [0.5]),
+    ("scale", [-1.0, -0.5]),
+    ("scale", [0.9, 0.1]),
+    ("aspect", [0.0, 1.0]),
+    ("aspect", [0.5, 1.0, 2.0]),
+    ("horizontal_flip_prob", 5.0),
+    ("horizontal_flip_prob", -0.5),
+])
+def test_train_malformed_augment_exits_1(tmp_path, capsys, key, value):
+    cfg_path, _ = _config(tmp_path, augment=_augment(**{key: value}))
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"augment.train.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("aspect", [100.0, 100.0]),  # the centered fallback's crop is 1 pixel high
+    ("aspect", [1e308, 1e308]),  # area * ratio overflows to inf
+    ("scale", [1e308, 1e308]),
+])
+def test_train_extreme_augment_falls_back_and_trains(tmp_path, capsys, key, value):
+    cfg_path, cfg = _config(tmp_path, augment=_augment(**{key: value}),
+                            train={"base_lr": 0.02, "epochs": 1, "batch_size": 64})
+    with np.errstate(over="ignore"):  # the overflow is the case under test
+        code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 0, err
+    assert (Path(cfg["out_dir"]) / "tinyvgg" / "0" / "best.ckpt").exists()
+
+
 def test_train_non_finite_state_exits_3_and_keeps_runlog(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("padlab.training.evaluate", lambda *args, **kwargs: 50.0)
     cfg_path, cfg = _config(tmp_path, train={"base_lr": 3e38, "epochs": 1, "batch_size": 256})
@@ -541,6 +581,28 @@ def test_compare_malformed_runlogs_exit_2(tmp_path, capsys, text, message):
                        "--runs-b", str(tmp_path / "b*.csv"))
     assert code == 2
     assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec_id", ["a<b,c", 'x&"y"'])
+def test_compare_writes_valid_csv_and_svg_for_any_spec_id(tmp_path, capsys, spec_id):
+    header = "spec_id,seed,epoch,train_loss,val_top1,lr,wall_seconds\n"
+    for side, spec in (("a", spec_id), ("b", spec_id + "-pc")):
+        quoted = '"' + spec.replace('"', '""') + '"'
+        for seed in range(2):
+            top1 = 90 + seed + (side == "b")
+            (tmp_path / f"{side}{seed}.csv").write_text(
+                f"{header}{quoted},{seed},0,0.5,{top1},0.02,1\n")
+    code, _, err = run(capsys, "compare", "--runs-a", str(tmp_path / "a*.csv"),
+                       "--runs-b", str(tmp_path / "b*.csv"),
+                       "--out", str(tmp_path / "out"), "--svg")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO((tmp_path / "out.csv").read_text())))
+    assert [len(row) for row in rows] == [10, 10]
+    assert rows[1][:2] == [spec_id, "2"]
+    for name in ("out_means.svg", "out_stdevs.svg"):
+        texts = [node.firstChild.data
+                 for node in minidom.parse(str(tmp_path / name)).getElementsByTagName("text")]
+        assert spec_id in texts
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,22 @@ BASE = {
     "train": {"base_lr": 0.02, "momentum": 0.9, "weight_decay": 1e-4, "epochs": 1,
               "lr_step": 1, "lr_gamma": 0.5, "batch_size": 16, "seeds": [0],
               "early_stop_top1": 99.0},
+    # identity-sized: every crop and resize keeps the 16-pixel images
+    "augment": {"train": {"random_resized_crop_size": 16, "horizontal_flip_prob": 0.5,
+                          "scale": [0.08, 1.0], "aspect": [0.75, 1.25]},
+                "eval": {"resize_size": 16, "center_crop_size": 16}},
     "out_dir": "runs",
 }
-KEYS = ([(None, k) for k in BASE]
-        + [(section, k) for section in ("dataset", "train") for k in BASE[section]])
+SECTIONS = [(), ("dataset",), ("train",), ("augment", "train"), ("augment", "eval")]
+
+
+def _section(cfg, path):
+    for part in path:
+        cfg = cfg[part]
+    return cfg
+
+
+KEYS = [(path, k) for path in SECTIONS for k in _section(BASE, path)]
 
 WRONG_TYPE = ["x", 1, 2.5, True, None, [], {}, [1], ["x"]]
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -43,7 +55,7 @@ def changed_configs(draw):
     change = draw(st.sampled_from(["wrong_type", "non_finite", "out_of_range",
                                    "unknown_key", "missing_key"]))
     cfg = copy.deepcopy(BASE)
-    parent = cfg if section is None else cfg[section]
+    parent = _section(cfg, section)
     if change == "missing_key":
         parent.pop(key, None)
     elif change == "unknown_key":

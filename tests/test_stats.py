@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -68,16 +69,45 @@ def test_p_values_match_within_half_a_thousandth(report):
         assert abs(row.p_one_sided - PRINTED[row.arch]["p"]) <= 0.0005
 
 
-def test_identical_groups_give_half():
-    t, p = pooled_t_one_sided([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+T_TESTS = pytest.mark.parametrize("test", [pooled_t_one_sided, welch_t_one_sided])
+
+
+@T_TESTS
+def test_identical_groups_give_half(test):
+    t, p = test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert t == 0.0 and p == 0.5
 
 
-def test_zero_variance_unequal_means():
-    t, p = pooled_t_one_sided([1.0, 1.0], [2.0, 2.0])
-    assert math.isinf(t) and p == 0.0
-    t, p = pooled_t_one_sided([2.0, 2.0], [1.0, 1.0])
-    assert p == 1.0
+@T_TESTS
+def test_zero_variance_unequal_means(test):
+    t, p = test([1.0, 1.0], [2.0, 2.0])
+    assert t == math.inf and p == 0.0
+    t, p = test([2.0, 2.0], [1.0, 1.0])
+    assert t == -math.inf and p == 1.0
+    assert test([3.0, 3.0], [3.0, 3.0, 3.0]) == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("test, equal_var", [(pooled_t_one_sided, True),
+                                             (welch_t_one_sided, False)])
+def test_t_tests_match_scipy_ttest_ind(test, equal_var):
+    ttest_ind = pytest.importorskip("scipy.stats").ttest_ind
+    rng = random.Random(17)
+    for _ in range(200):
+        base = [rng.gauss(70.0, rng.uniform(0.05, 2.0)) for _ in range(rng.randint(2, 9))]
+        treated = [rng.gauss(70.3, rng.uniform(0.05, 2.0))
+                   for _ in range(rng.randint(2, 9))]
+        t, p = test(base, treated)
+        want = ttest_ind(treated, base, equal_var=equal_var, alternative="greater")
+        assert t == pytest.approx(want.statistic, rel=1e-9)
+        assert abs(p - want.pvalue) < 1e-10, (base, treated)
+
+
+@pytest.mark.parametrize("test", [pooled_t_one_sided, welch_t_one_sided,
+                                  variance_ratio_one_sided])
+def test_one_run_group_is_rejected(test):
+    for base, treated in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [2.0]), ([], [])):
+        with pytest.raises(DegenerateSampleError, match="at least two runs"):
+            test(base, treated)
 
 
 @settings(max_examples=60, deadline=None)
