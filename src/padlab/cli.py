@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
 # experiment config
 
 # Each key maps to its JSON type: a type, a tuple of types, or [T] for an
-# array of T. A bool is not a number, and a number must be finite.
+# array of T. A bool is not a number, and a number must be a finite float: nan,
+# inf and an int beyond float range are not.
 _NUM = (int, float)
 _DATASET_KEYS = {
     "border": {"kind": str, "n": int, "size": int, "seed": int, "val_fraction": _NUM},
@@ -61,7 +61,7 @@ def _is_json(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
     return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-            and not (isinstance(value, float) and not math.isfinite(value)))
+            and not (isinstance(value, _NUM) and not abs(value) <= sys.float_info.max))
 
 
 def _check(d: dict, schema: dict, where: str, required=()):
@@ -156,7 +156,7 @@ def load_experiment(path) -> Experiment:
         raise ConfigError(f"config file not found: {path}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past Python's str-to-int digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     return Experiment(raw)
 

@@ -31,14 +31,19 @@ def count_params(model: Model) -> int:
     return sum(var.data.size for _, var in model.named_parameters())
 
 
+def _totals(model: Model) -> tuple[int, int]:
+    """(params, MACs) for one image at the spec's input size, from one walk."""
+    try:
+        _, params, macs = zip(*model.cost_rows())
+    except GeometryError as exc:
+        raise GeometryError(f"input size {model.spec.input_size} too small "
+                            f"for {model.spec.family}: {exc}") from exc
+    return sum(params), sum(macs)
+
+
 def count_macs(model: Model) -> int:
     """MACs for one forward pass of a single image at the spec's input size."""
-    spec = model.spec
-    try:
-        return sum(macs for _, _, macs in model.cost_rows())
-    except GeometryError as exc:
-        raise GeometryError(f"input size {spec.input_size} too small "
-                            f"for {spec.family}: {exc}") from exc
+    return _totals(model)[1]
 
 
 @dataclass
@@ -109,20 +114,16 @@ def cost_pair(family: str, input_size: int, num_classes: int = 1000) -> list[Cos
     family = normalize_family(family)
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    rows = []
-    base = None
-    for variant, pc in (("base", False), ("pc", True)):
+
+    def row(variant: str, pc: bool) -> CostRow:
         spec = ModelSpec(family, pad_channel=pc, num_classes=num_classes,
                          input_size=input_size)
-        model = build_model(spec, Rng(0), init="zeros")
-        row = CostRow(family, variant, count_params(model), count_macs(model))
-        if variant == "base":
-            base = row
-        else:
-            row.params_delta = row.params - base.params
-            row.macs_delta = row.macs - base.macs
-        rows.append(row)
-    return rows
+        return CostRow(family, variant,
+                       *_totals(build_model(spec, Rng(0), init="zeros")))
+
+    base, pc = row("base", False), row("pc", True)
+    pc.params_delta, pc.macs_delta = pc.params - base.params, pc.macs - base.macs
+    return [base, pc]
 
 
 def cost_table(families=COST_FAMILIES, input_size: int = 224,

@@ -1,9 +1,10 @@
 """Deterministic random number generation.
 
 All randomness in the package flows through `Rng`, a thin wrapper around
-numpy's Philox4x32-10 counter-based bit generator. Philox is a fixed, named
-algorithm whose stream depends only on the 64-bit seed, so equal seeds give
-bit-identical sequences across runs and platforms.
+numpy's Philox4x64-10 counter-based bit generator (4x64-bit counter, 2x64-bit
+key), built at the first draw. Philox is a fixed, named algorithm whose stream
+depends only on the 64-bit seed, so equal seeds give bit-identical sequences
+across runs and platforms.
 
 Independent substreams are derived with `child(label)`: the label is hashed
 with FNV-1a-64 and mixed into the parent seed through SplitMix64. Deriving a
@@ -12,6 +13,8 @@ component makes cannot perturb any other component.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,10 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(self.seed))
 
     def child(self, label: str) -> "Rng":
         """Independent stream for `label`; stateless w.r.t. this stream."""

@@ -183,6 +183,21 @@ def test_rng_children_are_independent_and_stable():
     assert Rng(7).child("a").seed != Rng(7).child("b").seed
 
 
+def test_rng_child_before_and_after_the_parents_first_draw_match():
+    # the generator is built at the first draw; a child reads only the seed,
+    # so deriving it before or after that draw gives the same stream
+    early_parent = Rng(31)
+    early = early_parent.child("w")
+    early_parent.normal((4,))
+    late_parent = Rng(31)
+    late_parent.normal((4,))
+    late = late_parent.child("w")
+    assert early.seed == late.seed
+    assert early.normal((8,), dtype=np.float64).tobytes() == \
+        late.normal((8,), dtype=np.float64).tobytes()
+    assert early.permutation(9).tobytes() == late.permutation(9).tobytes()
+
+
 def test_rng_child_chain_draws_fixed_bytes():
     # fixed bytes of a three-level child chain and four kinds of draw; any
     # change to seeding, child derivation or draw order shows here

@@ -304,6 +304,9 @@ def test_train_out_dir_on_a_file_exits_2(tmp_path, capsys):
     ("train", "batch_size", 2.5),
     ("train", "epochs", True),  # a bool is not an int
     ("train", "seeds", [0, False]),
+    # no float holds 10**400: np.isfinite raised TypeError on it
+    pytest.param("train", "base_lr", 10**400, id="train-base_lr-10**400"),
+    pytest.param("train", "weight_decay", 10**400, id="train-weight_decay-10**400"),
 ])
 def test_train_config_wrong_json_type_exits_1(tmp_path, capsys, where, key, value):
     cfg_path, cfg = _config(tmp_path)
@@ -312,6 +315,17 @@ def test_train_config_wrong_json_type_exits_1(tmp_path, capsys, where, key, valu
     code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
     assert code == 1
     assert f"{key} has the wrong JSON type" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_with_an_int_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, on 5001 digits
+    cfg_path, _ = _config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace('"n": 240', '"n": 1' + "0" * 5000))
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -335,6 +349,8 @@ def _augment(**train):
     ("aspect", [0.5, 1.0, 2.0]),
     ("horizontal_flip_prob", 5.0),
     ("horizontal_flip_prob", -0.5),
+    # no float holds 10**400: float() raised OverflowError on it
+    pytest.param("scale", [1, 10**400], id="scale-10**400"),
 ])
 def test_train_malformed_augment_exits_1(tmp_path, capsys, key, value):
     cfg_path, _ = _config(tmp_path, augment=_augment(**{key: value}))
@@ -342,6 +358,17 @@ def test_train_malformed_augment_exits_1(tmp_path, capsys, key, value):
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert f"augment.train.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_train_normalize_std_beyond_float_range_exits_1(tmp_path, capsys):
+    # float() raised OverflowError on 10**400
+    cfg_path, _ = _config(tmp_path,
+                          augment={**_augment(), "normalize_std": [10**400, 1, 1]})
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 1 and out == ""
+    assert "augment.normalize_std has the wrong JSON type" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -41,11 +41,14 @@ def _section(cfg, path):
 KEYS = [(path, k) for path in SECTIONS for k in _section(BASE, path)]
 
 WRONG_TYPE = ["x", 1, 2.5, True, None, [], {}, [1], ["x"]]
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
-# No large sizes or epoch counts: those are valid and only slow.  "exp.json"
-# is the config file itself, a file where out_dir needs a directory.
+# 10**400 is finite in JSON but no float holds it.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
+# No large sizes or epoch counts that a float holds: those are valid and only
+# slow.  "exp.json" is the config file itself, a file where out_dir needs a
+# directory.
 OUT_OF_RANGE = [-10**9, -1, 0, 1, 2, 7, -1.0, 0.0, 0.5, 1.0, 1.5, 100.5, 1e300, -1e300,
-                "nonesuch", "", "reflect", "exp.json", [], [-1], [2**70], [0, 0]]
+                "nonesuch", "", "reflect", "exp.json", [], [-1], [2**70], [0, 0],
+                [1, 10**400]]
 
 
 @st.composite

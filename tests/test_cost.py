@@ -197,3 +197,21 @@ def test_cost_pair_allocates_no_parameter_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_structure_only_builds_construct_no_philox(monkeypatch):
+    # a structure-only build derives child streams but draws from none, so
+    # no Philox generator is built
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    cost_pair("resnet50", 224)
+    build_model(ModelSpec("vgg11-bn", pad_channel=True), Rng(0), init="zeros")
+    assert made == []
+    Rng(5).normal((2,))  # a draw does build one, through the patched name
+    assert made == [(5,)]
