@@ -20,6 +20,7 @@ through the same format.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,12 +74,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             off += 1
             if dtag not in _DTYPE_TAGS:
                 raise CorruptFileError(f"unknown dtype tag {dtag}")
-            dt = np.dtype(_DTYPE_TAGS[dtag])
-            nbytes = dt.itemsize * int(np.prod(dims, dtype=np.int64))
-            data = np.frombuffer(blob[off:off + nbytes], dtype=dt)
-            if data.size != int(np.prod(dims, dtype=np.int64)):
+            dt, size = np.dtype(_DTYPE_TAGS[dtag]), math.prod(dims)  # ints: no wrap
+            data = np.frombuffer(blob[off:off + dt.itemsize * size], dtype=dt)
+            if data.size != size:
                 raise CorruptFileError(f"{name}: truncated data")
-            off += nbytes
+            off += data.nbytes
             tensors[name] = data.reshape(dims).astype(dt.newbyteorder("="), copy=True)
         if off != len(blob):
             raise CorruptFileError(f"{len(blob) - off} trailing bytes")
@@ -90,6 +90,4 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 
 def model_state(model) -> dict[str, np.ndarray]:
-    state = {name: var.data for name, var in model.named_parameters()}
-    state.update({name: buf for name, buf in model.named_buffers()})
-    return state
+    return {name: getattr(owner, attr) for name, _, owner, attr in model.state_slots()}

@@ -227,7 +227,8 @@ def cmd_train(args) -> int:
     results = []
     if args.parallel and len(seeds) > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        # the executor forks all max_workers at the first submit
+        with cf.ProcessPoolExecutor(max_workers=min(args.parallel, len(seeds))) as pool:
             futures = [pool.submit(_run_one_seed, args.config, s) for s in seeds]
             results = [f.result() for f in futures]
     else:
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
     except (ConfigError, PadlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: an array too large to allocate
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -20,8 +20,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, GeometryError
-from .models import FAMILIES, Model, ModelSpec, build_model, normalize_family
+from .errors import GeometryError
+from .models import Model, ModelSpec, build_model, normalize_family
 from .rng import Rng
 
 COST_FAMILIES = ("vgg11-bn", "vgg16-bn", "resnet18", "resnet50")
@@ -111,14 +111,10 @@ class CostReport:
 
 def cost_pair(family: str, input_size: int, num_classes: int = 1000) -> list[CostRow]:
     """Base and pad-channel rows for one family."""
-    family = normalize_family(family)
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
-
     def row(variant: str, pc: bool) -> CostRow:
         spec = ModelSpec(family, pad_channel=pc, num_classes=num_classes,
                          input_size=input_size)
-        return CostRow(family, variant,
+        return CostRow(spec.family, variant,
                        *_totals(build_model(spec, Rng(0), init="zeros")))
 
     base, pc = row("base", False), row("pc", True)

@@ -27,7 +27,7 @@ from .errors import (ConfigError, GeometryError, IncompatiblePaddingError,
 from .nn import (BatchNormState, ConvSpec, PaddingMode, adaptive_avgpool2d,
                  add, attach_pad_channel, batchnorm2d, conv2d, dropout,
                  flatten, global_avgpool, kaiming_init, linear, maxpool2d,
-                 relu)
+                 out_hw, relu)
 from .rng import Rng
 
 FAMILIES = ("vgg11-bn", "vgg16-bn", "resnet18", "resnet50", "tinyvgg", "tinyresnet")
@@ -60,14 +60,16 @@ class ModelSpec:
     padding_mode: PaddingMode = PaddingMode.ZERO
 
     def __post_init__(self):
-        if normalize_family(self.family) not in FAMILIES:
+        family = normalize_family(self.family)
+        if family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; known: {FAMILIES}")
+        object.__setattr__(self, "family", family)  # frozen: set the normalized spelling once
         if self.num_classes < 2 or self.input_channels < 1 or self.input_size < 8:
             raise ConfigError("num_classes >= 2, input_channels >= 1, input_size >= 8")
 
     @property
     def spec_id(self) -> str:
-        return normalize_family(self.family) + ("-pc" if self.pad_channel else "")
+        return self.family + ("-pc" if self.pad_channel else "")
 
 
 def normalize_family(name: str) -> str:
@@ -112,7 +114,10 @@ class _CostWalk:
 
     def layer(self, module: "Layer", chw):
         name = self.names[module]
-        out, params, macs = module.cost(chw, name)
+        try:
+            out, params, macs = module.cost(chw)
+        except GeometryError as exc:
+            raise GeometryError(f"{name}: {exc}") from exc
         if macs is not None:
             self.rows.append((name, params, macs))
         return out
@@ -150,40 +155,36 @@ class Module:
             for name, var in module._params.items():
                 yield _qual(prefix, name), var
 
-    def _buffer_slots(self):
-        """(qualified name, owner, attribute) of each BatchNorm running stat."""
+    def state_slots(self):
+        """[(qualified name, kind, owner, attribute)] of every checkpoint tensor
+        in checkpoint order: each parameter's data, then each BatchNorm
+        running stat."""
+        slots = [(name, "parameter", var, "data") for name, var in self.named_parameters()]
         for prefix, module in self.named_modules():
             if isinstance(module, BatchNorm2d):
-                for name in ("running_mean", "running_var"):
-                    yield _qual(prefix, name), module.state, name
-
-    def named_buffers(self):
-        for name, owner, attr in self._buffer_slots():
-            yield name, getattr(owner, attr)
+                slots += [(_qual(prefix, attr), "buffer", module.state, attr)
+                          for attr in ("running_mean", "running_var")]
+        return slots
 
     def load_state(self, tensors: dict):
         """Assign parameters and buffers by fully qualified name; a tensor the
         model does not name, or of another dtype, is a ConfigError."""
-        def take(kind, name, like):
+        slots = self.state_slots()
+        if unknown := sorted(set(tensors) - {name for name, *_ in slots}):
+            raise ConfigError(f"checkpoint tensors the model does not name: {unknown}")
+        for name, kind, owner, attr in slots:
             if name not in tensors:
                 raise ConfigError(f"checkpoint missing {kind} {name}")
-            arr = tensors[name]
+            arr, like = tensors[name], getattr(owner, attr)
             if arr.shape != like.shape:
                 raise ShapeError(f"{name}: checkpoint shape {arr.shape} "
                                  f"!= model shape {like.shape}")
             if arr.dtype != like.dtype:
                 raise ConfigError(f"{name}: checkpoint dtype {arr.dtype} "
                                   f"!= model dtype {like.dtype}")
-            return arr.copy()
-
-        named = {name for name, _ in (*self.named_parameters(), *self.named_buffers())}
-        if unknown := sorted(set(tensors) - named):
-            raise ConfigError(f"checkpoint tensors the model does not name: {unknown}")
-        for name, var in self.named_parameters():
-            var.data = take("parameter", name, var.data)
-            var.zero_grad()
-        for name, owner, attr in self._buffer_slots():
-            setattr(owner, attr, take("buffer", name, getattr(owner, attr)))
+            setattr(owner, attr, arr.copy())
+            if kind == "parameter":
+                owner.zero_grad()
 
     def forward(self, x, ctx):
         for child in self._children.values():
@@ -192,9 +193,9 @@ class Module:
 
 
 class Layer(Module):
-    """A leaf. `op(x, ctx)` computes it; `cost(chw, name)` gives its output
-    shape, parameter count and MACs on one (C, H, W) image, macs None for a
-    layer that takes no row in the cost table."""
+    """A leaf. `op(x, ctx)` computes it; `cost(chw)` gives its output shape,
+    parameter count and MACs on one (C, H, W) image, macs None for a layer
+    that takes no row in the cost table."""
 
     def forward(self, x, ctx):
         return ctx.layer(self, x)
@@ -204,14 +205,6 @@ def _weight(shape, rng: Rng, init: str) -> np.ndarray:
     if init == "zeros":  # structure only: a read-only view, trainable once loaded
         return zeros_view(shape, np.float32)
     return kaiming_init(shape, rng.child("weight"))
-
-
-def _out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int,
-            what: str, name: str) -> tuple[int, int]:
-    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise GeometryError(f"{name}: {what} output {ho}x{wo} < 1")
-    return ho, wo
 
 
 class Conv2d(Layer):
@@ -227,10 +220,10 @@ class Conv2d(Layer):
     def op(self, x, ctx):
         return conv2d(x, self.weight, self.bias, self.spec, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         _, h, w = chw
         s = self.spec
-        ho, wo = _out_hw(h, w, s.kernel_h, s.kernel_w, s.stride, s.pad, "conv", name)
+        ho, wo = out_hw(h, w, s.kernel_h, s.kernel_w, s.stride, s.pad, "conv")
         out_elems = s.out_channels * ho * wo
         macs = s.kernel_h * s.kernel_w * s.in_channels * out_elems
         params = self.weight.data.size
@@ -250,7 +243,7 @@ class BatchNorm2d(Layer):
     def op(self, x, ctx):
         return batchnorm2d(x, self.gamma, self.beta, self.state, ctx.mode, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return chw, 2 * chw[0], 2 * math.prod(chw)
 
 
@@ -258,7 +251,7 @@ class ReLU(Layer):
     def op(self, x, ctx):
         return relu(x, ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return chw, 0, 2 * math.prod(chw)
 
 
@@ -270,10 +263,9 @@ class MaxPool2d(Layer):
     def op(self, x, ctx):
         return maxpool2d(x, self.kernel, self.stride, self.pad, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         c, h, w = chw
-        ho, wo = _out_hw(h, w, self.kernel, self.kernel, self.stride, self.pad,
-                         "pool", name)
+        ho, wo = out_hw(h, w, self.kernel, self.kernel, self.stride, self.pad, "pool")
         return (c, ho, wo), 0, 2 * c * h * w
 
 
@@ -285,7 +277,7 @@ class AdaptiveAvgPool2d(Layer):
     def op(self, x, ctx):
         return adaptive_avgpool2d(x, self.out_h, self.out_w, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return (chw[0], self.out_h, self.out_w), 0, 2 * math.prod(chw)
 
 
@@ -295,7 +287,7 @@ class GlobalAvgPool(Layer):
     def op(self, x, ctx):
         return global_avgpool(x, ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return (chw[0],), 0, 2 * math.prod(chw)
 
 
@@ -303,7 +295,7 @@ class Flatten(Layer):
     def op(self, x, ctx):
         return flatten(x, ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return (math.prod(chw),), 0, None
 
 
@@ -315,7 +307,7 @@ class Dropout(Layer):
     def op(self, x, ctx):
         return dropout(x, self.p, ctx.mode, ctx.rng, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         return chw, 0, None
 
 
@@ -330,7 +322,7 @@ class Linear(Layer):
     def op(self, x, ctx):
         return linear(x, self.weight, self.bias, tape=ctx.tape)
 
-    def cost(self, chw, name):
+    def cost(self, chw):
         (f,) = chw
         o = self.weight.data.shape[0]
         return (o,), self.weight.data.size + o, f * o + o
@@ -378,10 +370,6 @@ class Model(Module):
         super().__init__()
         self.spec = spec
 
-    @property
-    def spec_id(self) -> str:
-        return self.spec.spec_id
-
     def parameters(self):
         return [var for _, var in self.named_parameters()]
 
@@ -410,7 +398,7 @@ class Model(Module):
 
 
 def _build_vgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
-    features, hidden, side = VGG_CFGS[normalize_family(spec.family)]
+    features, hidden, side = VGG_CFGS[spec.family]
     model = Model(spec)
     pm = spec.padding_mode
     in_ch = _first_conv_channels(spec)
@@ -445,8 +433,7 @@ def _build_vgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
 
 
 def _build_resnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
-    kind, blocks, widths, expansion, (ch, k, first_stride) = \
-        RESNET_CFGS[normalize_family(spec.family)]
+    kind, blocks, widths, expansion, (ch, k, first_stride) = RESNET_CFGS[spec.family]
     model = Model(spec)
     pm = spec.padding_mode
     stem = [("conv", Conv2d(ConvSpec(_first_conv_channels(spec), ch, k, k, 2, k // 2,
@@ -483,6 +470,6 @@ def build_model(spec: ModelSpec, rng: Rng, init: str = "kaiming") -> Model:
         raise IncompatiblePaddingError(
             "the pad-indicator channel only works with zero padding: "
             f"{spec.padding_mode.value} padding keeps the marker at 1 everywhere")
-    if normalize_family(spec.family) in VGG_CFGS:
+    if spec.family in VGG_CFGS:
         return _build_vgg(spec, rng, init)
     return _build_resnet(spec, rng, init)

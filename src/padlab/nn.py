@@ -64,6 +64,16 @@ def _out(data, inputs, tape, backward_fn) -> Variable:
     return out
 
 
+def out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int,
+           what: str) -> tuple[int, int]:
+    """A window op's output height and width; GeometryError when either is < 1."""
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise GeometryError(f"{what} output {ho}x{wo} < 1 for input {h}x{w}, "
+                            f"kernel {kh}x{kw}, stride {stride}, pad {pad}")
+    return ho, wo
+
+
 def _nchw(x: Variable, op: str) -> np.ndarray:
     xd = x.data
     if xd.ndim != 4:
@@ -289,16 +299,12 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
             f"input has {xd.shape[1]} channels, spec expects {spec.in_channels}")
     if wd.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
         raise ShapeError(f"weight shape {wd.shape} does not match spec")
+    kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
+    ho, wo = out_hw(xd.shape[2], xd.shape[3], kh, kw, s, spec.pad, "conv")
     if spec.pad:
         x = pad2d(x, spec.pad, spec.padding_mode, tape=tape)
         xd = x.data
     n, c, h, w = xd.shape
-    kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
-    ho = (h - kh) // s + 1
-    wo = (w - kw) // s + 1
-    if ho < 1 or wo < 1:
-        raise GeometryError(
-            f"conv output {ho}x{wo} < 1 for input {h}x{w}, kernel {kh}x{kw}, stride {s}")
 
     wmat = wd.reshape(spec.out_channels, -1)
     m = ho * wo
@@ -486,13 +492,10 @@ def maxpool2d(x: Variable, kernel: int, stride: int, pad: int = 0,
         raise ShapeError(f"pool kernel and stride must be >= 1, got {kernel} and {stride}")
     if not 0 <= pad <= kernel // 2:
         raise InvalidPadError(f"pool pad must lie in [0, {kernel // 2}], got {pad}")
+    _, _, h, w = xd.shape
+    ho, wo = out_hw(h, w, kernel, kernel, stride, pad, "pool")
     if pad:
         xd = _pad_frame(xd, pad, -np.inf)
-    _, _, h, w = xd.shape
-    ho = (h - kernel) // stride + 1
-    wo = (w - kernel) // stride + 1
-    if ho < 1 or wo < 1:
-        raise GeometryError(f"pool output {ho}x{wo} < 1")
     buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
     if kernel == stride == 2 and not pad and h % 2 == w % 2 == 0 and buf.flags.c_contiguous:
         # Whole-row passes over x's C-contiguous buffer (NCHW or (C, N, H, W)):

@@ -165,6 +165,42 @@ def test_train_parallel_matches_sequential(tmp_path, capsys):
         assert _strip_wall(seq) == _strip_wall(par[s])
 
 
+def test_train_parallel_starts_no_more_workers_than_seeds(tmp_path, capsys, monkeypatch):
+    import concurrent.futures as cf
+
+    class InlineExecutor:  # forks nothing: records max_workers, runs each job here
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = cf.Future()
+            future.set_result(fn(*args))
+            return future
+
+    workers = []
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path, _ = _config(tmp_path, train={"base_lr": 0.02, "epochs": 1, "batch_size": 64})
+    code, out, _ = run(capsys, "train", "--config", str(cfg_path),
+                       "--seeds", "0..1", "--parallel", "5000")
+    assert code == 0 and workers == [2]
+    assert [line.split(":")[0] for line in out.splitlines()] == ["seed 0", "seed 1"]
+
+
+def test_train_dataset_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # numpy refuses the 10.9 PiB request at once, before touching any memory
+    cfg_path, _ = _config(tmp_path, dataset={"kind": "border", "n": 10**12, "size": 32,
+                                             "seed": 9, "val_fraction": 0.25})
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("data error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_train_with_explicit_augment_config(tmp_path, capsys):
     cfg_path, cfg = _config(tmp_path, augment={
         "train": {"random_resized_crop_size": 32, "horizontal_flip_prob": 0.5,
@@ -492,6 +528,18 @@ def test_eval_checkpoint_with_bad_meta_exits_2(tmp_path, capsys, meta):
     assert code == 2
     assert "must hold exactly one finite value" in err
     assert out == "" and "Traceback" not in err
+
+
+def test_eval_checkpoint_whose_element_count_wraps_int64_exits_2(tmp_path, capsys):
+    # four dims of 65536 hold 2**64 elements, a count an int64 product wraps to 0
+    import struct
+    cfg_path, _ = _config(tmp_path)
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(b"PDCH" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                     + struct.pack("<B4IB", 4, *[65536] * 4, 0))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--config", str(cfg_path))
+    assert (code, out, err) == (2, "", "data error: w: truncated data\n")
 
 
 def test_eval_checkpoint_with_wrong_shaped_running_stat_exits_1(tmp_path, capsys):

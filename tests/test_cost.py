@@ -8,7 +8,8 @@ from padlab.cost import (COST_FAMILIES, cost_pair, cost_table, count_macs,
                          count_params)
 from padlab.errors import ConfigError, GeometryError
 from padlab.models import Conv2d, Forward, ModelSpec, build_model
-from padlab.nn import ConvSpec
+from padlab.autodiff import Variable
+from padlab.nn import ConvSpec, maxpool2d
 from padlab.rng import Rng
 
 # printed reference values for the four full-size families at 224x224
@@ -34,13 +35,13 @@ def report():
 def test_single_conv_param_count():
     model = build_model(ModelSpec("vgg11-bn"), Rng(0), init="zeros")
     conv1 = model._children["features"]._children["conv1"]
-    _, params, _ = conv1.cost((3, 224, 224), "features.conv1")
+    _, params, _ = conv1.cost((3, 224, 224))
     assert params == 3 * 3 * 3 * 64 + 64 == 1792
 
 
 def test_identity_conv_is_one_mac():
     layer = Conv2d(ConvSpec(1, 1, 1, 1, bias=False), Rng(0))
-    out, params, macs = layer.cost((1, 1, 1), "conv")
+    out, params, macs = layer.cost((1, 1, 1))
     assert out == (1, 1, 1)
     assert macs == 1
     assert params == 1
@@ -124,6 +125,19 @@ def test_geometry_underflow_errors():
     with pytest.raises(GeometryError, match="input size 8 too small for vgg11-bn: "
                        "features.pool4: pool output 0x0 < 1"):
         cost_pair("vgg11-bn", 8)
+
+
+def test_pool_underflow_reads_the_same_in_the_op_and_the_cost_walk():
+    # nn.out_hw is the one output-size rule: the op and the cost rule share its
+    # wording, and the walk prefixes the layer name once
+    wording = "pool output 0x0 < 1 for input 1x1, kernel 2x2, stride 2, pad 0"
+    with pytest.raises(GeometryError) as op_error:
+        maxpool2d(Variable(np.zeros((1, 512, 1, 1), np.float32)), 2, 2)
+    model = build_model(ModelSpec("vgg11-bn", input_size=8), Rng(0), init="zeros")
+    with pytest.raises(GeometryError) as walk_error:
+        model.cost_rows()
+    assert str(op_error.value) == wording
+    assert str(walk_error.value) == "features.pool4: " + wording
 
 
 def test_cost_csv_bytes_pinned(report):

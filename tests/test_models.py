@@ -121,12 +121,8 @@ def test_structural_equivalence_with_zeroed_mask_slice():
     base = build_model(spec_base, Rng(99))
 
     _params(pc)["stem.conv.weight"].data[:, 3] = 0.0
-    state = {}
-    for name, var in pc.named_parameters():
-        arr = var.data
-        state[name] = arr[:, :3] if name == "stem.conv.weight" else arr
-    for name, buf in pc.named_buffers():
-        state[name] = buf
+    state = {name: arr[:, :3] if name == "stem.conv.weight" else arr
+             for name, arr in model_state(pc).items()}
     base.load_state(state)
 
     x = Variable(Rng(17).uniform((2, 3, 32, 32)))
@@ -164,7 +160,27 @@ def test_tiny_families_stay_desk_scale():
 def test_family_name_normalization():
     assert normalize_family("VGG11_BN") == "vgg11-bn"
     m = build_model(ModelSpec("ResNet18"), Rng(0), init="zeros")
-    assert m.spec_id == "resnet18"
+    assert m.spec.spec_id == "resnet18"
+    assert m.spec.family == "resnet18"
+
+
+def test_spec_stores_the_normalized_family():
+    assert ModelSpec("TinyVGG") == ModelSpec("tinyvgg")
+    assert ModelSpec(" VGG11_BN").family == "vgg11-bn"
+
+
+def test_state_slots_name_a_saved_checkpoint_in_order(tmp_path):
+    from padlab.checkpoint import read_tensors
+    from padlab.training import Checkpoint
+    model = build_model(ModelSpec("tinyresnet", num_classes=2, input_size=32), Rng(0))
+    path = tmp_path / "m.ckpt"
+    Checkpoint(1, 50.0, model_state(model)).save(path)
+    names = [name for name in read_tensors(path) if not name.startswith("meta.")]
+    slots = model.state_slots()
+    assert names == [name for name, *_ in slots]
+    kinds = [kind for _, kind, *_ in slots]
+    assert kinds == sorted(kinds, reverse=True)  # parameters, then buffers
+    assert len(names) == len(set(names)) > kinds.count("buffer") > 0
 
 
 @pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])

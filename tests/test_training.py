@@ -9,6 +9,7 @@ import pytest
 
 from padlab import nn
 from padlab.autodiff import Tape, Variable, backward
+from padlab.checkpoint import model_state
 from padlab.data import (AugmentConfig, Dataset, EvalAugment, TrainAugment,
                          gen_border_task)
 from padlab.errors import ConfigError, NumericError, TrainingDivergedError
@@ -493,7 +494,7 @@ def test_nothing_that_outlives_a_step_sits_in_a_pool_block(family):
         grads = backward(loss, tape)
         sgd_step(model.parameters(), velocity, 0.01, 0.9, 1e-4)
         kept = [logits.data, loss.data, *grads.values(), *velocity.values(),
-                *(p.grad for p in model.parameters()), *dict(model.named_buffers()).values()]
+                *(p.grad for p in model.parameters()), *model_state(model).values()]
         assert pool.blocks and len(grads) == len(velocity) == len(model.parameters())
         for arr in kept:
             assert not any(np.shares_memory(arr, block) for block in pool.blocks)
