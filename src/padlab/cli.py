@@ -12,15 +12,17 @@ import argparse
 import glob as globmod
 import json
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from . import stats
 from .cost import COST_FAMILIES, cost_table
-from .data import (AugmentConfig, EvalAugment, TrainAugment, gen_border_task,
-                   load_cifar_binary, save_cifar_binary)
+from .data import (AugmentConfig, gen_border_task, load_cifar_binary,
+                   save_cifar_binary)
 from .errors import (ConfigError, CorruptFileError, DataError, NumericError,
                      PadlabError, TrainingDivergedError)
-from .models import FAMILIES, ModelSpec, build_model, normalize_family
+from .models import FAMILIES, ModelSpec, build_model
 from .nn import PaddingMode
 from .rng import Rng
 from .training import (Checkpoint, RunLog, TrainConfig, evaluate, save_run,
@@ -35,33 +37,27 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # experiment config
 
-# Each key maps to its JSON type: a type, a tuple of types, or [T] for an
-# array of T. A bool is not a number, and a number must be a finite float: nan,
-# inf and an int beyond float range are not.
-_NUM = (int, float)
 _DATASET_KEYS = {
-    "border": {"kind": str, "n": int, "size": int, "seed": int, "val_fraction": _NUM},
+    "border": {"kind": str, "n": int, "size": int, "seed": int, "val_fraction": float},
     "cifar-binary": {"kind": str, "train_path": str, "val_path": str},
 }
 _DATASET_NEEDS = {"border": ("n", "size", "seed"),
                   "cifar-binary": ("train_path", "val_path")}
-_TRAIN_KEYS = {"base_lr": _NUM, "momentum": _NUM, "weight_decay": _NUM, "epochs": int,
-               "lr_step": int, "lr_gamma": _NUM, "batch_size": int, "seeds": [int],
-               "early_stop_top1": (int, float, type(None))}
 _TOP_KEYS = {"arch": str, "pad_channel": bool, "num_classes": int, "input_size": int,
-             "input_channels": int, "padding_mode": str, "dataset": dict, "train": dict,
-             "augment": (dict, type(None)), "out_dir": str}
-_AUG_TOP = {"train": dict, "eval": dict, "normalize_mean": [_NUM], "normalize_std": [_NUM]}
-_AUG_TRAIN = {"random_resized_crop_size": int, "horizontal_flip_prob": _NUM,
-              "scale": [_NUM], "aspect": [_NUM]}
-_AUG_EVAL = {"resize_size": int, "center_crop_size": int}
+             "input_channels": int, "padding_mode": str, "dataset": dict,
+             "train": TrainConfig, "augment": AugmentConfig | None, "out_dir": str}
 
 
-def _is_json(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
-    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-            and not (isinstance(value, _NUM) and not abs(value) <= sys.float_info.max))
+def _is_json(value, hint) -> bool:
+    """Whether `value` has the JSON type `hint`: float takes any number a float holds
+    but a bool, X | None null too, tuple[T, ...] an array of T, a dataclass an object."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_is_json(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):
+        return any(_is_json(value, h) for h in get_args(hint))
+    kind = dict if is_dataclass(hint) else (int, float) if hint is float else hint
+    return (isinstance(value, kind) and (hint is bool or not isinstance(value, bool))
+            and not (isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max))
 
 
 def _check(d: dict, schema: dict, where: str, required=()):
@@ -75,6 +71,21 @@ def _check(d: dict, schema: dict, where: str, required=()):
     for key, value in d.items():
         if not _is_json(value, schema[key]):
             raise ConfigError(f"{where}.{key} has the wrong JSON type: {value!r}")
+
+
+def _build(cls, block: dict, where: str):
+    """`cls` from the JSON object `block`: its fields are the keys, those without a
+    default are required, and arrays become tuples of the annotated element type."""
+    hints = get_type_hints(cls)
+    needs = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
+    _check(block, hints, where, needs)
+    kwargs = {key: block[key] for key in hints if key in block}
+    for key, value in kwargs.items():
+        if is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, f"{where}.{key}")
+        elif get_origin(hints[key]) is tuple:
+            kwargs[key] = tuple(map(get_args(hints[key])[0], value))
+    return cls(**kwargs)
 
 
 class Experiment:
@@ -91,7 +102,8 @@ class Experiment:
         _check(ds, _DATASET_KEYS[kind], f"dataset.{kind}", _DATASET_NEEDS[kind])
         self.dataset = ds
 
-        self.augment = self._parse_augment(raw.get("augment"))
+        aug = raw.get("augment")
+        self.augment = None if aug is None else _build(AugmentConfig, aug, "augment")
         # The network sees the dataset's images, or the crops when augmenting.
         sizes = {ds["size"] if kind == "border" else 32}
         if self.augment is not None:
@@ -115,29 +127,8 @@ class Experiment:
             padding_mode=mode,
         )
 
-        tr = raw.get("train", {})
-        _check(tr, _TRAIN_KEYS, "train")
-        if "seeds" in tr:
-            tr = dict(tr, seeds=tuple(tr["seeds"]))
-        self.train_cfg = TrainConfig(**tr)
+        self.train_cfg = _build(TrainConfig, raw.get("train", {}), "train")
         self.out_dir = raw.get("out_dir", "runs")
-
-    def _parse_augment(self, raw):
-        if raw is None:
-            return None
-        _check(raw, _AUG_TOP, "augment", ("train", "eval"))
-        _check(raw["train"], _AUG_TRAIN, "augment.train", ("random_resized_crop_size",))
-        _check(raw["eval"], _AUG_EVAL, "augment.eval", ("resize_size", "center_crop_size"))
-        ta = dict(raw["train"])
-        for key in ("scale", "aspect"):
-            if key in ta:
-                ta[key] = tuple(float(v) for v in ta[key])
-        return AugmentConfig(
-            train=TrainAugment(**ta),
-            eval=EvalAugment(**raw["eval"]),
-            normalize_mean=tuple(raw.get("normalize_mean", (0.0, 0.0, 0.0))),
-            normalize_std=tuple(raw.get("normalize_std", (1.0, 1.0, 1.0))),
-        )
 
     def load_datasets(self):
         ds = self.dataset
@@ -168,9 +159,6 @@ def cmd_cost(args) -> int:
     if not args.all and not args.arch:
         raise ConfigError("need --arch or --all")
     families = COST_FAMILIES if args.all else (args.arch,)
-    if not args.all:
-        if normalize_family(args.arch) not in FAMILIES:
-            raise ConfigError(f"unknown arch {args.arch!r}; known: {FAMILIES}")
     report = cost_table(families, args.input_size, args.num_classes)
     if args.pad_channel:
         report.rows = [r for r in report.rows if r.variant == "pc"]
@@ -387,27 +375,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        code = args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, PadlabError) as exc:
+    except PadlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, MemoryError) as exc:  # MemoryError: an array too large to allocate
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 A `Dataset` holds n images as one block: `pixels` (n, 3, S, S) with values in
 [0, 1] and `labels` (n,) int64. It is the one dataset type: the loader, the
 generator, the split and training all pass it. Slices are Datasets of views,
-so splitting, batching and evaluation read the images in place. The
-transforms take and return one (C, S, S) pixel array.
+so splitting, batching and evaluation read the images in place. The train
+transform takes one (C, S, S) image; the eval transform also takes a block.
 The on-disk format is the classic CIFAR-10 binary layout (3073-byte records:
 one label byte, then 3072 pixel bytes as R/G/B planes of a 32x32 image), which
 needs no image codec; synthetic datasets serialize to the same layout.
@@ -67,8 +67,8 @@ class Dataset:
 class TrainAugment:
     random_resized_crop_size: int
     horizontal_flip_prob: float = 0.5
-    scale: tuple = (0.08, 1.0)
-    aspect: tuple = (3.0 / 4.0, 4.0 / 3.0)
+    scale: tuple[float, ...] = (0.08, 1.0)
+    aspect: tuple[float, ...] = (3.0 / 4.0, 4.0 / 3.0)
 
     def __post_init__(self):
         for key in ("scale", "aspect"):
@@ -96,8 +96,8 @@ class EvalAugment:
 class AugmentConfig:
     train: TrainAugment
     eval: EvalAugment
-    normalize_mean: tuple = (0.0, 0.0, 0.0)
-    normalize_std: tuple = (1.0, 1.0, 1.0)
+    normalize_mean: tuple[float, ...] = (0.0, 0.0, 0.0)
+    normalize_std: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if len(self.normalize_mean) != 3 or len(self.normalize_std) != 3:
@@ -189,20 +189,20 @@ def gen_border_task(n: int, size: int, rng: Rng) -> Dataset:
 # transforms
 
 def resize_bilinear(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """(C, H, W) -> (C, out_h, out_w), half-pixel centers."""
-    c, h, w = pixels.shape
+    """(..., C, H, W) -> (..., C, out_h, out_w), half-pixel centers."""
+    h, w = pixels.shape[-2:]
     if (h, w) == (out_h, out_w):
         return pixels.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)[:, None]
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)  # a column: [..., y0, x0] gathers (out_h, out_w)
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0).astype(pixels.dtype)[None, :, None]
-    wx = (xs - x0).astype(pixels.dtype)[None, None, :]
-    top = pixels[:, y0][:, :, x0] * (1 - wx) + pixels[:, y0][:, :, x1] * wx
-    bot = pixels[:, y1][:, :, x0] * (1 - wx) + pixels[:, y1][:, :, x1] * wx
+    wy = (ys - y0).astype(pixels.dtype)
+    wx = (xs - x0).astype(pixels.dtype)
+    top = pixels[..., y0, x0] * (1 - wx) + pixels[..., y0, x1] * wx
+    bot = pixels[..., y1, x0] * (1 - wx) + pixels[..., y1, x1] * wx
     return top * (1 - wy) + bot * wy
 
 
@@ -253,9 +253,9 @@ def augment_train(pixels: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarra
 
 
 def augment_eval(pixels: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
-    """(C, H, W) -> (C, S, S): deterministic resize, center crop, normalization."""
+    """(..., C, H, W) -> (..., C, S, S): deterministic resize, center crop, normalization."""
     e = cfg.eval
     resized = resize_bilinear(pixels, e.resize_size, e.resize_size)
     top = (e.resize_size - e.center_crop_size) // 2
-    crop = resized[:, top:top + e.center_crop_size, top:top + e.center_crop_size]
+    crop = resized[..., top:top + e.center_crop_size, top:top + e.center_crop_size]
     return np.ascontiguousarray(_normalize(crop, cfg))

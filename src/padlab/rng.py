@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -41,7 +43,9 @@ class Rng:
     """Seeded Philox stream with label-derived substreams."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:  # masking would give two seeds one stream
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**64)")
 
     @cached_property
     def _gen(self) -> np.random.Generator:

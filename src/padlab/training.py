@@ -37,7 +37,7 @@ class TrainConfig:
     lr_step: int = 30
     lr_gamma: float = 0.1
     batch_size: int = 32
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     early_stop_top1: float | None = None  # None: always run all epochs
 
     def __post_init__(self):
@@ -185,7 +185,7 @@ def evaluate(model: Model, ds: Dataset, augment: AugmentConfig | None = None,
     if batch_size < 1:
         raise ConfigError(f"evaluate needs batch_size >= 1, got {batch_size}")
     if augment is not None:
-        ds = Dataset(np.stack([augment_eval(p, augment) for p in ds.pixels]), ds.labels)
+        ds = Dataset(augment_eval(ds.pixels, augment), ds.labels)
     correct = 0
     with Pool():
         for start in range(0, len(ds), batch_size):
@@ -213,7 +213,7 @@ def train_run(spec: ModelSpec, cfg: TrainConfig, train: Dataset, val: Dataset,
     if len(train) == 0 or len(val) == 0:
         raise ConfigError("train and validation sets must be non-empty")
     if augment is not None:
-        val = Dataset(np.stack([augment_eval(p, augment) for p in val.pixels]), val.labels)
+        val = Dataset(augment_eval(val.pixels, augment), val.labels)
     rng = Rng(seed)
     model = build_model(spec, rng.child("init"))
     log = RunLog(spec.spec_id, seed)

@@ -173,6 +173,16 @@ def test_rng_determinism_long_streams():
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("seed", [pytest.param(2**64, id="2**64"), -1,
+                                  pytest.param(2**70, id="2**70")])
+def test_rng_rejects_a_seed_outside_64_bits(seed):
+    # masked, 2**64 and 2**70 were seed 0 and -1 was 2**64 - 1: distinct seeds,
+    # one stream
+    with pytest.raises(ConfigError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+        Rng(seed)
+    assert Rng(0).seed == 0 and Rng(2**64 - 1).seed == 2**64 - 1
+
+
 def test_rng_children_are_independent_and_stable():
     r = Rng(7)
     c1 = r.child("weights").normal((5,))

@@ -2,13 +2,19 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import padlab
 from padlab.cli import main
+from padlab.data import AugmentConfig, EvalAugment, TrainAugment
+from padlab.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -40,6 +46,22 @@ def _config(tmp_path, **overrides):
 
 
 # ---------------------------------------------------------------------------
+# imports
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # urllib.request alone raised an analysis process's peak RSS by 2.3 MB
+    src = str(Path(padlab.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+            "import padlab, padlab.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    loaded = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "padlab.cli" in loaded and "urllib.request" not in loaded
+    tops = {name.split(".")[0] for name in loaded}
+    assert tops - sys.stdlib_module_names == {"padlab", "numpy"}
+
+
+# ---------------------------------------------------------------------------
 # cost
 
 def test_cost_single_arch(capsys):
@@ -66,9 +88,10 @@ def test_cost_all_reproduces_tables(capsys):
 
 
 def test_cost_unknown_arch_exits_1(capsys):
+    # ModelSpec is the one family check
     code, _, err = run(capsys, "cost", "--arch", "nonesuch")
     assert code == 1
-    assert "unknown arch" in err
+    assert "unknown family 'nonesuch'; known: ('vgg11-bn'," in err and "'tinyresnet')" in err
     code, _, _ = run(capsys, "cost")
     assert code == 1
 
@@ -126,6 +149,15 @@ def test_gen_data_rejects_empty_count(tmp_path, capsys, n):
                        "--seed", "0", "--out", str(out))
     assert code == 1
     assert "n must be >= 1" in err
+    assert not out.exists()
+
+
+def test_gen_data_seed_outside_64_bits_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.bin"
+    code, stdout, err = run(capsys, "gen-data", "--task", "border", "--n", "4",
+                            "--seed", "-1", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == "error: seed -1 is outside [0, 2**64)\n"
     assert not out.exists()
 
 
@@ -412,6 +444,9 @@ def test_train_normalize_std_beyond_float_range_exits_1(tmp_path, capsys):
     ("aspect", [100.0, 100.0]),  # the centered fallback's crop is 1 pixel high
     ("aspect", [1e308, 1e308]),  # area * ratio overflows to inf
     ("scale", [1e308, 1e308]),
+    # ints a float holds: kept as ints, np.isfinite raised TypeError on 2**70
+    pytest.param("scale", [1, 2**70], id="scale-2**70"),
+    pytest.param("aspect", [1, 10**300], id="aspect-10**300"),
 ])
 def test_train_extreme_augment_falls_back_and_trains(tmp_path, capsys, key, value):
     cfg_path, cfg = _config(tmp_path, augment=_augment(**{key: value}),
@@ -420,6 +455,35 @@ def test_train_extreme_augment_falls_back_and_trains(tmp_path, capsys, key, valu
         code, _, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
     assert code == 0, err
     assert (Path(cfg["out_dir"]) / "tinyvgg" / "0" / "best.ckpt").exists()
+
+
+@pytest.mark.parametrize("where, cls, needs", [
+    ("train", TrainConfig, []),
+    ("augment", AugmentConfig, ["train", "eval"]),
+    ("augment.train", TrainAugment, ["random_resized_crop_size"]),
+    ("augment.eval", EvalAugment, ["resize_size", "center_crop_size"]),
+])
+def test_config_block_takes_the_keys_of_its_dataclass(tmp_path, capsys, where, cls, needs):
+    assert [f.name for f in fields(cls) if f.default is MISSING] == needs
+
+    def block(cfg):
+        for part in where.split("."):
+            cfg = cfg[part]
+        return cfg
+
+    for change in ["surprise", *needs]:
+        cfg_path, cfg = _config(tmp_path, augment=_augment())
+        if change == "surprise":
+            block(cfg)[change] = 1
+            expected = f"error: unknown {where} keys: ['surprise']"
+        else:
+            del block(cfg)[change]
+            expected = f"error: {where} needs {change!r}"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+        assert code == 1 and out == ""
+        assert err == expected + "\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_non_finite_state_exits_3_and_keeps_runlog(tmp_path, capsys, monkeypatch):
@@ -450,6 +514,23 @@ def test_train_without_usable_seeds_exits_1(tmp_path, capsys, seeds, argv):
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("train, argv", [
+    ({}, ("--seed", str(2**64))),
+    ({}, ("--seeds", "-1")),
+    ({"seeds": [2**70]}, ()),
+])
+def test_train_seed_outside_64_bits_exits_1(tmp_path, capsys, train, argv):
+    # masked, 2**64 trained seed 0's run again and 2**70 trained seed 0
+    cfg_path, cfg = _config(tmp_path)
+    cfg["train"].update(train)
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: seed ") and "is outside [0, 2**64)" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_prints_one_progress_line_per_epoch(tmp_path, capsys):

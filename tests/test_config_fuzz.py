@@ -48,7 +48,7 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
 # directory.
 OUT_OF_RANGE = [-10**9, -1, 0, 1, 2, 7, -1.0, 0.0, 0.5, 1.0, 1.5, 100.5, 1e300, -1e300,
                 "nonesuch", "", "reflect", "exp.json", [], [-1], [2**70], [0, 0],
-                [1, 10**400]]
+                [1, 10**400], [1, 2**70]]
 
 
 @st.composite

@@ -166,6 +166,42 @@ def test_eval_augment_constant_stays_constant():
     np.testing.assert_allclose(out, 0.7, rtol=1e-6)
 
 
+def _nan_and_negative_zero_block(dtype):
+    block = Rng(13).uniform((4, 3, 16, 16), 0.0, 1.0, dtype)
+    block[1, 0, 2, 3] = np.nan
+    block[2, 1, :, 5] = -0.0
+    return block
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("resize, crop", [(16, 16), (16, 12), (24, 24), (24, 16),
+                                          (10, 10), (12, 8)])
+@pytest.mark.parametrize("normalize", [{}, {"normalize_mean": (0.25, 0.5, 0.0),
+                                            "normalize_std": (0.5, 2.0, 1.0)}])
+def test_eval_transform_of_a_block_matches_image_by_image(dtype, resize, crop, normalize):
+    cfg = AugmentConfig(TrainAugment(crop), EvalAugment(resize, crop), **normalize)
+    block = _nan_and_negative_zero_block(dtype)
+    whole = augment_eval(block, cfg)
+    per_image = np.stack([augment_eval(p, cfg) for p in block])
+    assert whole.dtype == per_image.dtype and whole.shape == per_image.shape
+    assert whole.tobytes() == per_image.tobytes()
+
+
+def test_train_and_eval_transform_bytes_pinned():
+    # sha256 taken from the per-image (C, H, W) resize that preceded the block one
+    h = hashlib.sha256()
+    for dtype in (np.float32, np.float64):
+        block = _nan_and_negative_zero_block(dtype)
+        for size, resize, crop in ((16, 16, 16), (24, 24, 20), (12, 12, 8)):
+            cfg = AugmentConfig(TrainAugment(size, 0.5, (0.3, 1.0), (0.6, 1.6)),
+                                EvalAugment(resize, crop), (0.25, 0.5, 0.0), (0.5, 2.0, 1.0))
+            rng = Rng(8)
+            for p in block:
+                h.update(augment_train(p, cfg, rng).tobytes())
+                h.update(augment_eval(p, cfg).tobytes())
+    assert h.hexdigest() == "51bbbcc044fe3f512c3c88d9fa6a54ec539845cb24c3b600c6b8fb4df1db6198"
+
+
 def test_train_augment_reproducible_stream():
     cfg = AugmentConfig(train=TrainAugment(24), eval=EvalAugment(24, 24))
     img = _img(11)
