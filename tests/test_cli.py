@@ -458,10 +458,12 @@ def test_train_extreme_augment_falls_back_and_trains(tmp_path, capsys, key, valu
 
 
 @pytest.mark.parametrize("where, cls, needs", [
-    ("train", TrainConfig, []),
-    ("augment", AugmentConfig, ["train", "eval"]),
-    ("augment.train", TrainAugment, ["random_resized_crop_size"]),
-    ("augment.eval", EvalAugment, ["resize_size", "center_crop_size"]),
+    pytest.param("train", TrainConfig, [], id="TrainConfig"),
+    pytest.param("augment", AugmentConfig, ["train", "eval"], id="AugmentConfig"),
+    pytest.param("augment.train", TrainAugment, ["random_resized_crop_size"],
+                 id="TrainAugment"),
+    pytest.param("augment.eval", EvalAugment, ["resize_size", "center_crop_size"],
+                 id="EvalAugment"),
 ])
 def test_config_block_takes_the_keys_of_its_dataclass(tmp_path, capsys, where, cls, needs):
     assert [f.name for f in fields(cls) if f.default is MISSING] == needs
@@ -517,9 +519,9 @@ def test_train_without_usable_seeds_exits_1(tmp_path, capsys, seeds, argv):
 
 
 @pytest.mark.parametrize("train, argv", [
-    ({}, ("--seed", str(2**64))),
-    ({}, ("--seeds", "-1")),
-    ({"seeds": [2**70]}, ()),
+    pytest.param({}, ("--seed", str(2**64)), id="--seed-2**64"),
+    pytest.param({}, ("--seeds", "-1"), id="--seeds--1"),
+    pytest.param({"seeds": [2**70]}, (), id="train.seeds-2**70"),
 ])
 def test_train_seed_outside_64_bits_exits_1(tmp_path, capsys, train, argv):
     # masked, 2**64 trained seed 0's run again and 2**70 trained seed 0

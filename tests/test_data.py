@@ -176,8 +176,10 @@ def _nan_and_negative_zero_block(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("resize, crop", [(16, 16), (16, 12), (24, 24), (24, 16),
                                           (10, 10), (12, 8)])
-@pytest.mark.parametrize("normalize", [{}, {"normalize_mean": (0.25, 0.5, 0.0),
-                                            "normalize_std": (0.5, 2.0, 1.0)}])
+@pytest.mark.parametrize("normalize", [
+    pytest.param({}, id="unnormalized"),
+    pytest.param({"normalize_mean": (0.25, 0.5, 0.0), "normalize_std": (0.5, 2.0, 1.0)},
+                 id="normalized")])
 def test_eval_transform_of_a_block_matches_image_by_image(dtype, resize, crop, normalize):
     cfg = AugmentConfig(TrainAugment(crop), EvalAugment(resize, crop), **normalize)
     block = _nan_and_negative_zero_block(dtype)
