@@ -12,16 +12,17 @@ Layout (all integers little-endian):
         dtype    u8   (0 = f32, 1 = f64)
         data     raw little-endian element bytes, C order
 
-A model checkpoint stores every parameter and BatchNorm running-stat buffer
-under its qualified name, plus two rank-1 f64 meta tensors `meta.epoch` and
-`meta.val_top1`, so epoch index and best accuracy round-trip bit-exactly
-through the same format.
+A model checkpoint (`Checkpoint`) stores every parameter and BatchNorm
+running-stat buffer under its qualified name, plus two rank-1 f64 meta tensors
+`meta.epoch` and `meta.val_top1`, so epoch index and best accuracy round-trip
+bit-exactly through the same format.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,3 +92,27 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 def model_state(model) -> dict[str, np.ndarray]:
     return {name: getattr(owner, attr) for name, _, owner, attr in model.state_slots()}
+
+
+@dataclass
+class Checkpoint:
+    epoch: int
+    val_top1: float
+    tensors: dict
+
+    def save(self, path):
+        state = dict(self.tensors)
+        state["meta.epoch"] = np.asarray([float(self.epoch)], np.float64)
+        state["meta.val_top1"] = np.asarray([float(self.val_top1)], np.float64)
+        write_tensors(path, state)
+
+    @classmethod
+    def load(cls, path) -> "Checkpoint":
+        tensors = read_tensors(path)
+        meta = []
+        for name in ("meta.epoch", "meta.val_top1"):
+            arr = tensors.pop(name, None)
+            if arr is None or arr.size != 1 or not np.isfinite(arr).all():
+                raise CorruptFileError(f"{name} must hold exactly one finite value")
+            meta.append(arr.reshape(-1)[0])
+        return cls(int(meta[0]), float(meta[1]), tensors)

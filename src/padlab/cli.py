@@ -210,6 +210,7 @@ def cmd_train(args) -> int:
         seeds = list(exp.train_cfg.seeds)
     if not seeds:
         raise ConfigError("no seeds to train")
+    seeds = [Rng(s).seed for s in seeds]  # every seed's range, before a run writes
     if args.parallel < 0:
         raise ConfigError("--parallel must be >= 0")
     results = []

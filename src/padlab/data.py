@@ -253,8 +253,14 @@ def augment_train(pixels: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarra
 
 
 def augment_eval(pixels: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
-    """(..., C, H, W) -> (..., C, S, S): deterministic resize, center crop, normalization."""
+    """(..., C, H, W) -> (..., C, S, S): deterministic resize, center crop, normalization;
+    a block of over 256 images goes 256 at a time into one output, bounding its temporaries."""
     e = cfg.eval
+    if pixels.ndim == 4 and len(pixels) > 256:
+        out = np.empty(pixels.shape[:2] + (e.center_crop_size,) * 2, pixels.dtype)
+        for start in range(0, len(pixels), 256):
+            out[start:start + 256] = augment_eval(pixels[start:start + 256], cfg)
+        return out
     resized = resize_bilinear(pixels, e.resize_size, e.resize_size)
     top = (e.resize_size - e.center_crop_size) // 2
     crop = resized[..., top:top + e.center_crop_size, top:top + e.center_crop_size]

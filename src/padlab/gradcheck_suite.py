@@ -39,7 +39,7 @@ def _conv_case(mode: PaddingMode):
         rng = Rng(100 + trial)
         w = Variable(rng.normal((3, 4, 3, 3), dtype=np.float64))
         b = Variable(rng.normal((3,), dtype=np.float64))
-        spec = ConvSpec(4, 3, 3, 3, stride=1 + trial % 2, pad=1, padding_mode=mode)
+        spec = ConvSpec(stride=1 + trial % 2, pad=1, padding_mode=mode)
         return lambda v, tape: conv2d(v, w, b, spec, tape=tape)
 
     return make, (2, 4, 8, 8)

@@ -208,29 +208,21 @@ def _weight(shape, rng: Rng, init: str) -> np.ndarray:
 
 
 class Conv2d(Layer):
-    def __init__(self, spec: ConvSpec, rng: Rng, init: str = "kaiming"):
+    def __init__(self, in_ch: int, out_ch: int, k: int, spec: ConvSpec, rng: Rng,
+                 init: str = "kaiming", bias: bool = True):
         super().__init__()
         self.spec = spec
-        shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        self.weight = self.add_param("weight", _weight(shape, rng, init))
-        self.bias = None
-        if spec.bias:
-            self.bias = self.add_param("bias", np.zeros(spec.out_channels, np.float32))
+        self.weight = self.add_param("weight", _weight((out_ch, in_ch, k, k), rng, init))
+        self.bias = self.add_param("bias", np.zeros(out_ch, np.float32)) if bias else None
 
     def op(self, x, ctx):
         return conv2d(x, self.weight, self.bias, self.spec, tape=ctx.tape)
 
     def cost(self, chw):
-        _, h, w = chw
-        s = self.spec
-        ho, wo = out_hw(h, w, s.kernel_h, s.kernel_w, s.stride, s.pad, "conv")
-        out_elems = s.out_channels * ho * wo
-        macs = s.kernel_h * s.kernel_w * s.in_channels * out_elems
-        params = self.weight.data.size
-        if self.bias is not None:
-            macs += out_elems
-            params += s.out_channels
-        return (s.out_channels, ho, wo), params, macs
+        cout, _, kh, kw = self.weight.data.shape
+        ho, wo = out_hw(chw[1], chw[2], kh, kw, self.spec.stride, self.spec.pad, "conv")
+        params = sum(var.data.size for var in self._params.values())  # weight and bias
+        return (cout, ho, wo), params, params * ho * wo  # a MAC per parameter per pixel
 
 
 class BatchNorm2d(Layer):
@@ -340,9 +332,8 @@ class Residual(Module):
         super().__init__()
         ch = in_ch
         for i, (out_ch, k, s) in enumerate(convs, start=1):
-            self.add_child(f"conv{i}", Conv2d(ConvSpec(ch, out_ch, k, k, s, k // 2,
-                                                       padding_mode, bias=False),
-                                              rng.child(f"conv{i}"), init))
+            self.add_child(f"conv{i}", Conv2d(ch, out_ch, k, ConvSpec(s, k // 2, padding_mode),
+                                              rng.child(f"conv{i}"), init, bias=False))
             self.add_child(f"bn{i}", BatchNorm2d(out_ch))
             self.add_child(f"relu{i}", ReLU())
             ch = out_ch
@@ -350,9 +341,8 @@ class Residual(Module):
         stride = math.prod(s for *_, s in convs)
         if stride != 1 or in_ch != ch:
             self.add_child("downsample", Module([
-                ("conv", Conv2d(ConvSpec(in_ch, ch, 1, 1, stride, 0,
-                                         padding_mode, bias=False),
-                                rng.child("downsample"), init)),
+                ("conv", Conv2d(in_ch, ch, 1, ConvSpec(stride, 0, padding_mode),
+                                rng.child("downsample"), init, bias=False)),
                 ("bn", BatchNorm2d(ch)),
             ]))
 
@@ -410,8 +400,7 @@ def _build_vgg(spec: ModelSpec, rng: Rng, init: str) -> Model:
             layers.append((f"pool{pool_i}", MaxPool2d(2, 2)))
         else:
             conv_i += 1
-            conv = Conv2d(ConvSpec(in_ch, v, 3, 3, 1, 1, pm, bias=True),
-                          rng.child(f"conv{conv_i}"), init)
+            conv = Conv2d(in_ch, v, 3, ConvSpec(1, 1, pm), rng.child(f"conv{conv_i}"), init)
             layers += [(f"conv{conv_i}", conv), (f"bn{conv_i}", BatchNorm2d(v)),
                        (f"relu{conv_i}", ReLU())]
             in_ch = v
@@ -436,8 +425,8 @@ def _build_resnet(spec: ModelSpec, rng: Rng, init: str) -> Model:
     kind, blocks, widths, expansion, (ch, k, first_stride) = RESNET_CFGS[spec.family]
     model = Model(spec)
     pm = spec.padding_mode
-    stem = [("conv", Conv2d(ConvSpec(_first_conv_channels(spec), ch, k, k, 2, k // 2,
-                                     pm, bias=False), rng.child("stem"), init)),
+    stem = [("conv", Conv2d(_first_conv_channels(spec), ch, k, ConvSpec(2, k // 2, pm),
+                            rng.child("stem"), init, bias=False)),
             ("bn", BatchNorm2d(ch)), ("relu", ReLU())]
     if first_stride == 1:  # the stem max-pools unless the first stage strides
         stem.append(("pool", MaxPool2d(3, 2, pad=1)))

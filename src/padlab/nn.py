@@ -32,22 +32,14 @@ class PaddingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ConvSpec:
-    in_channels: int
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
+    """What a conv's weight cannot say; channels and kernel are its shape."""
     stride: int = 1
     pad: int = 0
     padding_mode: PaddingMode = PaddingMode.ZERO
-    bias: bool = True
 
     def __post_init__(self):
-        if self.kernel_h < 1 or self.kernel_w < 1:
-            raise ShapeError("kernel dims must be >= 1")
         if self.stride < 1:
             raise ShapeError("stride must be >= 1")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ShapeError("channel counts must be >= 1")
         if self.pad < 0:
             raise InvalidPadError("pad must be non-negative")
 
@@ -288,30 +280,30 @@ def _col2im_rows(wmat, gmat, xshape, kh, kw, ho, wo):
 
 def conv2d(x: Variable, weight: Variable, bias: Variable | None,
            spec: ConvSpec, tape: Tape | None = None) -> Variable:
-    """Cross-correlation of x with `weight` (C_out, C_in, k_h, k_w).
+    """Cross-correlation of x with `weight` (C_out, C_in, k_h, k_w) plus a (C_out,) bias.
 
     Padding per spec.pad / spec.padding_mode is applied first as a separate
     pad2d op; the core here always runs on the already-padded tensor.
     """
     xd, wd = _nchw(x, "conv2d"), weight.data
-    if xd.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"input has {xd.shape[1]} channels, spec expects {spec.in_channels}")
-    if wd.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
-        raise ShapeError(f"weight shape {wd.shape} does not match spec")
-    kh, kw, s = spec.kernel_h, spec.kernel_w, spec.stride
+    if wd.ndim != 4 or wd.shape[1] != xd.shape[1]:
+        raise ShapeError(f"conv2d weight {wd.shape} is not (C_out, {xd.shape[1]}, k_h, k_w)")
+    cout, _, kh, kw = wd.shape
+    if bias is not None and bias.data.shape != (cout,):
+        raise ShapeError(f"conv2d bias shape {bias.data.shape} != ({cout},)")
+    s = spec.stride
     ho, wo = out_hw(xd.shape[2], xd.shape[3], kh, kw, s, spec.pad, "conv")
     if spec.pad:
         x = pad2d(x, spec.pad, spec.padding_mode, tape=tape)
         xd = x.data
     n, c, h, w = xd.shape
 
-    wmat = wd.reshape(spec.out_channels, -1)
+    wmat = wd.reshape(cout, -1)
     m = ho * wo
     step = n  # the weight gradient reads the columns as one matrix
     if tape is None or not weight.requires_grad:
         step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
-    shape = (spec.out_channels, n * m)
+    shape = (cout, n * m)
     if step >= n:
         # one GEMM call: running the loop below for a single block added
         # about 3% to the gradcheck suite, whose thousands of small convs
@@ -328,7 +320,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         out_mat += bias.data[:, None]
 
     def backward_conv(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         dx = dw = db = None
         # f32 only: the widened GEMM keeps each column's bytes where OpenBLAS's
         # bytes for a column do not depend on its place in the product, as the
@@ -346,7 +338,7 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
             db = gmat.sum(axis=1)  # contiguous rows: the same bytes in any layout of g
         return (dx, dw) if bias is None else (dx, dw, db)
 
-    return _out(out_mat.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3),
+    return _out(out_mat.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3),
                 (x, weight) if bias is None else (x, weight, bias), tape, backward_conv)
 
 
@@ -597,6 +589,8 @@ def linear(x: Variable, weight: Variable, bias: Variable | None,
     xd, wd = x.data, weight.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(f"linear shapes incompatible: {xd.shape} vs {wd.shape}")
+    if bias is not None and bias.data.shape != wd.shape[:1]:
+        raise ShapeError(f"linear bias shape {bias.data.shape} != {wd.shape[:1]}")
     out_mat = xd @ wd.T
     if bias is not None:
         out_mat = out_mat + bias.data

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Variable, backward
-from .checkpoint import model_state, read_tensors, write_tensors
+from .checkpoint import Checkpoint, model_state
 from .data import AugmentConfig, Dataset, augment_eval, augment_train
 from .errors import (ConfigError, CorruptFileError, NumericError,
                      TrainingDivergedError)
@@ -142,30 +142,6 @@ def epochs_to_threshold(log: RunLog, threshold: float):
         if r.val_top1 >= threshold:
             return r.epoch
     return None
-
-
-@dataclass
-class Checkpoint:
-    epoch: int
-    val_top1: float
-    tensors: dict
-
-    def save(self, path):
-        state = dict(self.tensors)
-        state["meta.epoch"] = np.asarray([float(self.epoch)], np.float64)
-        state["meta.val_top1"] = np.asarray([float(self.val_top1)], np.float64)
-        write_tensors(path, state)
-
-    @classmethod
-    def load(cls, path) -> "Checkpoint":
-        tensors = read_tensors(path)
-        meta = []
-        for name in ("meta.epoch", "meta.val_top1"):
-            arr = tensors.pop(name, None)
-            if arr is None or arr.size != 1 or not np.isfinite(arr).all():
-                raise CorruptFileError(f"{name} must hold exactly one finite value")
-            meta.append(arr.reshape(-1)[0])
-        return cls(int(meta[0]), float(meta[1]), tensors)
 
 
 def evaluate(model: Model, ds: Dataset, augment: AugmentConfig | None = None,

@@ -124,7 +124,7 @@ def test_criterion_5_subsumption_construction():
     x = Variable(rng.uniform((2, 3, 9, 7)))
     zero_w = Variable(np.zeros((1, 3, 3, 3), np.float32))
     one_b = Variable(np.ones(1, np.float32))
-    feat = relu(conv2d(x, zero_w, one_b, ConvSpec(3, 1, 3, 3, pad=1)))
+    feat = relu(conv2d(x, zero_w, one_b, ConvSpec(pad=1)))
     constructed = pad2d(feat, 1, PaddingMode.ZERO).data[:, 0]
 
     nxt = Variable(rng.uniform((2, 6, 9, 7)))

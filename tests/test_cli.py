@@ -522,9 +522,11 @@ def test_train_without_usable_seeds_exits_1(tmp_path, capsys, seeds, argv):
     pytest.param({}, ("--seed", str(2**64)), id="--seed-2**64"),
     pytest.param({}, ("--seeds", "-1"), id="--seeds--1"),
     pytest.param({"seeds": [2**70]}, (), id="train.seeds-2**70"),
+    pytest.param({}, ("--seeds", f"0,{2**64}"), id="--seeds-0,2**64"),
 ])
 def test_train_seed_outside_64_bits_exits_1(tmp_path, capsys, train, argv):
-    # masked, 2**64 trained seed 0's run again and 2**70 trained seed 0
+    # masked, 2**64 trained seed 0's run again and 2**70 trained seed 0; a bad
+    # seed after a good one exits before the good one's run writes anything
     cfg_path, cfg = _config(tmp_path)
     cfg["train"].update(train)
     cfg_path.write_text(json.dumps(cfg))

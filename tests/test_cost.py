@@ -40,7 +40,7 @@ def test_single_conv_param_count():
 
 
 def test_identity_conv_is_one_mac():
-    layer = Conv2d(ConvSpec(1, 1, 1, 1, bias=False), Rng(0))
+    layer = Conv2d(1, 1, 1, ConvSpec(), Rng(0), bias=False)
     out, params, macs = layer.cost((1, 1, 1))
     assert out == (1, 1, 1)
     assert macs == 1
@@ -84,10 +84,11 @@ def test_mac_delta_matches_first_conv_closed_form(family, size):
     spec = ModelSpec(family, num_classes=classes, input_size=size)
     model = build_model(spec, Rng(0))
     first_conv = next(m for m in _iter_modules(model) if isinstance(m, Conv2d))
+    cout, _, kh, kw = first_conv.weight.data.shape
     s = first_conv.spec
-    out = (size + 2 * s.pad - s.kernel_h) // s.stride + 1
-    assert pc.macs_delta == s.kernel_h * s.kernel_w * s.out_channels * out * out
-    assert pc.params_delta == s.kernel_h * s.kernel_w * s.out_channels
+    out = (size + 2 * s.pad - kh) // s.stride + 1
+    assert pc.macs_delta == kh * kw * cout * out * out
+    assert pc.params_delta == kh * kw * cout
 
 
 def _iter_modules(module):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ def test_eval_transform_of_a_block_matches_image_by_image(dtype, resize, crop, n
     per_image = np.stack([augment_eval(p, cfg) for p in block])
     assert whole.dtype == per_image.dtype and whole.shape == per_image.shape
     assert whole.tobytes() == per_image.tobytes()
+
+
+def test_eval_transform_of_a_large_block_is_chunked():
+    # transformed whole, this block peaked at 118.7 MiB: five block-sized temporaries
+    cfg = AugmentConfig(TrainAugment(32), EvalAugment(36, 32), (0.25, 0.5, 0.0),
+                        (0.5, 2.0, 1.0))
+    block = Rng(3).uniform((2000, 3, 32, 32), 0.0, 1.0, np.float32)
+    tracemalloc.start()
+    try:
+        whole = augment_eval(block, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+    assert whole.tobytes() == np.stack([augment_eval(p, cfg) for p in block]).tobytes()
 
 
 def test_train_and_eval_transform_bytes_pinned():

@@ -69,8 +69,7 @@ def test_grad_conv_wrt_input(mode):
         cout = 3
         w = Variable(rng.normal((cout, cin, 3, 3), dtype=np.float64))
         b = Variable(rng.normal((cout,), dtype=np.float64))
-        spec = ConvSpec(cin, cout, 3, 3, stride=1 + trial % 2, pad=1,
-                        padding_mode=mode)
+        spec = ConvSpec(stride=1 + trial % 2, pad=1, padding_mode=mode)
         return lambda v, tape: conv2d(v, w, b, spec, tape=tape)
 
     run_trials(make)
@@ -81,11 +80,11 @@ def test_grad_conv_wrt_weight_and_bias():
 
     def make_w(trial, shape, rng):
         def f(v, tape):
-            cout, cin = v.shape[0], v.shape[1]
+            cin = v.shape[1]
             if trial not in xs:
                 xs[trial] = Rng(55 + trial).normal((2, cin, 6, 6), dtype=np.float64)
             x = Variable(xs[trial])
-            spec = ConvSpec(cin, cout, v.shape[2], v.shape[3], pad=1)
+            spec = ConvSpec(pad=1)
             return conv2d(x, v, None, spec, tape=tape)
         return f
 
@@ -102,9 +101,7 @@ def test_grad_conv_wrt_weight_and_bias():
     w_fix = Rng(78).normal((4, 3, 3, 3), dtype=np.float64)
 
     def via_bias(v, tape):
-        spec = ConvSpec(3, 4, 3, 3, pad=1)
-        return conv2d(Variable(x_fix), Variable(w_fix), v,
-                      spec, tape=tape)
+        return conv2d(Variable(x_fix), Variable(w_fix), v, ConvSpec(pad=1), tape=tape)
 
     err = grad_check(projected(via_bias), Rng(79).normal((4,), dtype=np.float64),
                      eps=EPS)
@@ -238,7 +235,7 @@ def test_grad_conv_bn_relu_mean_chain():
     def chain(v, tape):
         from padlab.nn import mean_all
         w = Variable(w_fix)
-        spec = ConvSpec(3, 4, 3, 3, pad=1)
+        spec = ConvSpec(pad=1)
         h = conv2d(v, w, None, spec, tape=tape)
         h = batchnorm2d(h, Variable(gamma_fix), Variable(beta_fix),
                         BatchNormState(4, np.float64), "train", tape=tape)

@@ -118,7 +118,7 @@ def test_indicator_defeated_by_other_modes(mode):
 def test_conv_identity_kernel():
     x = Rng(3).uniform((2, 1, 5, 5))
     w = _var(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
-    spec = ConvSpec(1, 1, 1, 1)
+    spec = ConvSpec()
     out = conv2d(_var(x), w, None, spec).data
     assert np.array_equal(out, x)
 
@@ -126,7 +126,7 @@ def test_conv_identity_kernel():
 def test_conv_all_ones_3x3_padded():
     x = _var(np.ones((1, 1, 3, 3), np.float32))
     w = _var(np.ones((1, 1, 3, 3), np.float32))
-    spec = ConvSpec(1, 1, 3, 3, stride=1, pad=1)
+    spec = ConvSpec(stride=1, pad=1)
     out = conv2d(x, w, None, spec).data[0, 0]
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], np.float32)
     assert np.array_equal(out, expected)
@@ -136,7 +136,7 @@ def test_conv_zero_weights_bias_one():
     x = Rng(1).uniform((2, 3, 4, 4))
     w = _var(np.zeros((5, 3, 3, 3), np.float32))
     b = _var(np.ones(5, np.float32))
-    out = conv2d(_var(x), w, b, ConvSpec(3, 5, 3, 3, pad=1)).data
+    out = conv2d(_var(x), w, b, ConvSpec(pad=1)).data
     assert np.all(out == 1.0)
 
 
@@ -149,7 +149,7 @@ def test_conv_matches_naive_oracle(cin, cout, k, stride, pad, size, seed, use_bi
     x = rng.uniform((2, cin, size, size), dtype=np.float64)
     w = rng.normal((cout, cin, k, k), dtype=np.float64)
     b = rng.normal((cout,), dtype=np.float64) if use_bias else None
-    spec = ConvSpec(cin, cout, k, k, stride=stride, pad=pad, bias=use_bias)
+    spec = ConvSpec(stride=stride, pad=pad)
     got = conv2d(_var(x), _var(w), None if b is None else _var(b), spec).data
     want = naive_conv2d(x, w, b, stride=stride, pad=pad)
     assert got.shape == want.shape
@@ -165,7 +165,7 @@ def test_conv_backward_matches_loop_oracle(k, stride):
     b = rng.normal((4,), dtype=np.float64)
     ho = (7 + 2 * pad - k) // stride + 1
     g = rng.normal((2, 4, ho, ho), dtype=np.float64)
-    spec = ConvSpec(3, 4, k, k, stride=stride, pad=pad)
+    spec = ConvSpec(stride=stride, pad=pad)
     got = _vjp(lambda xv, wv, bv, tape: conv2d(xv, wv, bv, spec, tape), [x, w, b], g)
     for name, a, e in zip(("dx", "dw", "db"), got,
                           naive_conv2d_backward(x, w, g, stride, pad)):
@@ -176,14 +176,43 @@ def test_conv_channel_mismatch():
     x = _var(np.zeros((1, 2, 4, 4), np.float32))
     w = _var(np.zeros((1, 3, 3, 3), np.float32))
     with pytest.raises(ShapeError):
-        conv2d(x, w, None, ConvSpec(3, 1, 3, 3))
+        conv2d(x, w, None, ConvSpec())
+
+
+def test_conv_rank3_weight():
+    x = _var(np.zeros((1, 3, 4, 4), np.float32))
+    w = _var(np.zeros((3, 3, 3), np.float32))
+    with pytest.raises(ShapeError):
+        conv2d(x, w, None, ConvSpec())
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    pytest.param({"stride": 0}, ShapeError, id="stride-0"),
+    pytest.param({"pad": -1}, InvalidPadError, id="pad--1")])
+def test_conv_spec_rejects(kwargs, error):
+    with pytest.raises(error):
+        ConvSpec(**kwargs)
+
+
+# a (1,) bias used to broadcast in forward and fail only in backward; a (4,)
+# one raised numpy's ValueError
+@pytest.mark.parametrize("bias_shape", [(1,), (4,)], ids=["bias-1", "bias-4"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda b: conv2d(_var(np.zeros((2, 3, 4, 4))), _var(np.zeros((5, 3, 3, 3))),
+                                  b, ConvSpec(), Tape()), id="conv2d"),
+    pytest.param(lambda b: linear(_var(np.zeros((2, 3))), _var(np.zeros((5, 3))), b, Tape()),
+                 id="linear")])
+def test_bias_of_the_wrong_shape(call, bias_shape):
+    with pytest.raises(ShapeError) as exc:
+        call(_var(np.zeros(bias_shape), requires_grad=True))
+    assert f"bias shape {bias_shape} != (5,)" in str(exc.value)
 
 
 def test_conv_geometry_underflow():
     x = _var(np.zeros((1, 1, 2, 2), np.float32))
     w = _var(np.zeros((1, 1, 3, 3), np.float32))
     with pytest.raises(GeometryError):
-        conv2d(x, w, None, ConvSpec(1, 1, 3, 3))
+        conv2d(x, w, None, ConvSpec())
 
 
 def test_conv_translation_equivariance_interior():
@@ -192,7 +221,7 @@ def test_conv_translation_equivariance_interior():
     x = np.zeros((1, 2, 12, 12), np.float64)
     x[:, :, 4:8, 4:8] = rng.uniform((1, 2, 4, 4), dtype=np.float64)
     w = rng.normal((3, 2, 3, 3), dtype=np.float64)
-    spec = ConvSpec(2, 3, 3, 3, pad=1)
+    spec = ConvSpec(pad=1)
     base = conv2d(_var(x), _var(w), None, spec).data
     shifted = conv2d(_var(np.roll(x, (1, 1), axis=(2, 3))), _var(w), None, spec).data
     assert np.array_equal(shifted[:, :, 2:-2, 2:-2],
@@ -407,7 +436,7 @@ def test_subsumption_zero_weight_bias_one_conv():
     x = _var(rng.uniform((2, 3, 6, 6)))
     w = _var(np.zeros((1, 3, 3, 3), np.float32))
     b = _var(np.ones(1, np.float32))
-    feat = conv2d(x, w, b, ConvSpec(3, 1, 3, 3, pad=1))
+    feat = conv2d(x, w, b, ConvSpec(pad=1))
     feat = relu(feat)
     constructed = pad2d(feat, 1, PaddingMode.ZERO).data[:, 0]
 
@@ -525,7 +554,7 @@ def test_conv_dw_matches_gmat_cols_t_form(dtype, k, stride):
     for n, c, size, cout in ((2, 3, 7, 4), (16, 8, 16, 16), (8, 16, 8, 32)):
         x = rng.standard_normal((n, c, size, size)).astype(dtype)
         w = rng.standard_normal((cout, c, k, k)).astype(dtype)
-        spec = ConvSpec(c, cout, k, k, stride, bias=False)
+        spec = ConvSpec(stride)
         ho = (size - k) // stride + 1
         g = _signed_zero_grad(rng, (n, cout, ho, ho), dtype)
         _, (_, dw) = _op_backward(lambda xv, wv, tape: conv2d(xv, wv, None, spec, tape),
@@ -615,7 +644,7 @@ def test_conv_same_bytes_in_either_layout(dtype, k, stride, bias):
         x = rng.standard_normal((n, c, size, size)).astype(dtype)
         w = rng.standard_normal((cout, c, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
-        spec = ConvSpec(c, cout, k, k, stride, bias=bias)
+        spec = ConvSpec(stride)
         ho = (size - k) // stride + 1
         g = _signed_zero_grad(rng, (n, cout, ho, ho), dtype)
         (out, grads), (out_cm, grads_cm) = _both_layouts(
@@ -643,7 +672,7 @@ def test_conv_forward_only_blocks_give_the_full_matrix_bytes(dtype, size, k, str
         x = _channel_major(x)
     w = rng.standard_normal((cout, c, k, k)).astype(dtype)
     b = _var(rng.standard_normal(cout).astype(dtype)) if bias else None
-    spec = ConvSpec(c, cout, k, k, stride, pad, bias=bias)
+    spec = ConvSpec(stride, pad)
     full = conv2d(_var(x), _var(w, requires_grad=True), b, spec, Tape()).data
     no_tape = conv2d(_var(x), _var(w), b, spec).data
     frozen_w = conv2d(_var(x, requires_grad=True), _var(w), b, spec, Tape()).data
@@ -752,7 +781,7 @@ def test_maxpool2x2_matches_tap_chain(dtype, layout, n, c, ho, wo, seed):
 def _conv_dx_against_fold(x, w, g):
     n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    spec = ConvSpec(c, cout, kh, kw, 1, bias=False)
+    spec = ConvSpec(1)
     _, (dx, _) = _op_backward(lambda xv, wv, tape: conv2d(xv, wv, None, spec, tape), [x, w], g)
     want = fold_conv2d_dx(w.reshape(cout, -1), g.transpose(1, 0, 2, 3).reshape(cout, -1),
                           x.shape, kh, kw, 1, g.shape[2], g.shape[3])
@@ -841,10 +870,9 @@ RECORDING_CASES = {
     "attach_pad_channel": ("attach_pad_channel", [(2, 3, 4, 4)],
                            lambda v, t: attach_pad_channel(v[0], tape=t)),
     "conv2d-bias": ("conv2d", [(2, 3, 4, 4), (5, 3, 3, 3), (5,)],
-                    lambda v, t: conv2d(v[0], v[1], v[2], ConvSpec(3, 5, 3, 3), t)),
+                    lambda v, t: conv2d(v[0], v[1], v[2], ConvSpec(), t)),
     "conv2d-no-bias": ("conv2d", [(2, 3, 4, 4), (5, 3, 3, 3)],
-                       lambda v, t: conv2d(v[0], v[1], None,
-                                           ConvSpec(3, 5, 3, 3, bias=False), t)),
+                       lambda v, t: conv2d(v[0], v[1], None, ConvSpec(), t)),
     "batchnorm2d-train": ("batchnorm2d", [(2, 3, 4, 4), (3,), (3,)],
                           lambda v, t: batchnorm2d(v[0], v[1], v[2],
                                                    BatchNormState(3, np.float64), "train", t)),
@@ -904,8 +932,7 @@ def test_op_records_one_entry_only_with_a_tape_and_an_input_requiring_grad(
 RANK4_OPS = {
     "pad2d": lambda x: pad2d(x, 1),
     "attach_pad_channel": attach_pad_channel,
-    "conv2d": lambda x: conv2d(x, _var(np.ones((1, 3, 1, 1))), None,
-                               ConvSpec(3, 1, 1, 1, bias=False)),
+    "conv2d": lambda x: conv2d(x, _var(np.ones((1, 3, 1, 1))), None, ConvSpec()),
     "batchnorm2d": lambda x: batchnorm2d(x, _var(np.ones(3)), _var(np.zeros(3)),
                                          BatchNormState(3, np.float64), "train"),
     "maxpool2d": lambda x: maxpool2d(x, 2, 2),
