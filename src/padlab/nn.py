@@ -203,13 +203,15 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Forward-only convolutions build and multiply their im2col columns a few
-# whole images at a time, about this many bytes per block, so the GEMM reads
-# each block from L2 right after the copy that wrote it. Swept at batch 128 on
-# tinyvgg-pc's convs (2-core Xeon, 2 MiB L2 per core, OpenBLAS on one thread,
-# median of 50 calls in each of 3 processes): the first conv took 11 ms with
-# one full 19 MB matrix, 6 ms in 512 KiB blocks, 7 ms in 256 KiB blocks and
-# 12-14 ms in 1 or 2 MiB blocks; the second fell from 7.5 to 5-6 ms.
+# Forward-only convolutions build and multiply their im2col columns a few whole
+# images at a time, about this many bytes per block, so the GEMM reads each block
+# from L2 right after the copy that wrote it (first tinyvgg-pc conv at batch 128,
+# 2-core Xeon, one OpenBLAS thread: 11 ms as one 19 MB matrix, 6 ms in 512 KiB
+# blocks, 7 in 256 KiB, 12-14 in 1-2 MiB). At stride 1 on a C-contiguous buffer a
+# block takes whole rows: a tap copies one run of (Ho-1)*W + Wo cells per (c, n),
+# whose cell y*W + x is output (y, x) for x < Wo, and zero columns pad the block to
+# a multiple of 64, where OpenBLAS gave each column the bytes it has in the single
+# full-batch GEMM (unpadded, a tinyresnet batch of 32 changed its logits).
 _COL_BLOCK_BYTES = 512 * 1024
 
 
@@ -303,19 +305,32 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     step = n  # the weight gradient reads the columns as one matrix
     if tape is None or not weight.requires_grad:
         step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
-    shape = (cout, n * m)
+    shape, dt = (cout, n * m), np.result_type(wmat, xd)
     if step >= n:
         # one GEMM call: running the loop below for a single block added
         # about 3% to the gradcheck suite, whose thousands of small convs
         # each fit one block
         cols = _im2col(xd, kh, kw, s, ho, wo)
-        out_mat = np.matmul(wmat, cols, out=_pool and _pool.empty(
-            shape, np.result_type(wmat, xd)))
+        out_mat = np.matmul(wmat, cols, out=_pool and _pool.empty(shape, dt))
     else:
-        out_mat = _empty(shape, np.result_type(wmat, xd))
+        out_mat, rows = _empty(shape, dt), None
+        buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
+        if s == 1 and buf.flags.c_contiguous:  # whole rows, see _COL_BLOCK_BYTES
+            (sn, sc, sh, sw), span, b = xd.strides, (ho - 1) * w + wo, dt.itemsize
+            full = -(-step * span // 64) * 64
+            rows, prod = _empty((wmat.shape[1], full), xd.dtype), _empty((cout, full), dt)
         for i in range(0, n, step):
-            np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, min(step, n - i)),
-                      out=out_mat[:, i * m:(i + step) * m])
+            nb, dst = min(step, n - i), out_mat[:, i * m:(i + step) * m]
+            if rows is None:
+                np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, nb), out=dst)
+                continue
+            width = -(-nb * span // 64) * 64
+            rows[:, nb * span:width] = 0
+            rows[:, :nb * span].reshape(c, kh, kw, nb, span)[...] = np.ndarray(
+                (c, kh, kw, nb, span), xd.dtype, buf, i * sn, (sc, sh, sw, sn, sw))
+            np.matmul(wmat, rows[:, :width], out=prod[:, :width])
+            dst.reshape(cout, nb, ho, wo)[...] = np.ndarray(
+                (cout, nb, ho, wo), dt, prod, 0, (full * b, span * b, w * b, b))
     if bias is not None:
         out_mat += bias.data[:, None]
 
@@ -368,8 +383,8 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     xd = _nchw(x, "batchnorm2d")
     n, c, h, w = xd.shape
     gd = gamma.data
-    if c != len(gd):
-        raise ShapeError(f"input has {c} channels, gamma has {len(gd)}")
+    if (gd.shape, beta.data.shape) != ((c,), (c,)):
+        raise ShapeError(f"gamma {gd.shape} and beta {beta.data.shape} must be ({c},)")
 
     if mode == "train":
         m = n * h * w

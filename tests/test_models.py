@@ -10,7 +10,7 @@ from padlab.checkpoint import model_state
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
 from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model,
                            normalize_family)
-from padlab.nn import PaddingMode, softmax_cross_entropy
+from padlab.nn import PaddingMode, Pool, softmax_cross_entropy
 from padlab.rng import Rng
 from padlab.training import sgd_step
 
@@ -298,6 +298,21 @@ def test_load_state_rejects_missing_running_stat():
     with pytest.raises(ConfigError, match="checkpoint missing buffer "
                        "layer1.block1.downsample.bn.running_var"):
         model.load_state(state)
+
+
+@pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
+def test_eval_logits_of_forward_only_blocks_match_a_taped_forward(family):
+    # evaluate's batches of 128 and a last batch of 104, and a batch of 32:
+    # forward-only convs run in whole-row blocks, a taped forward keeps one
+    # full column matrix
+    model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
+                                  input_size=32), Rng(0))
+    x = np.random.default_rng(1).random((232, 3, 32, 32), dtype=np.float32)
+    for batch in (x[:128], x[128:], x[:32]):
+        with Pool():
+            blocked = model.forward(Variable(batch), "eval").data.copy()
+        full = model.forward(Variable(batch), "eval", Tape()).data
+        assert blocked.tobytes() == full.tobytes()
 
 
 def test_eval_forward_allocates_no_full_column_matrix():

@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from padlab.nn import (BN_EPS, BN_MOMENTUM, BatchNormState, ConvSpec,
                        relu, softmax, softmax_cross_entropy, sum_all)
 from padlab.rng import Rng
 
-from padlab.nn import _COL_BLOCK_BYTES, _im2col, _pad_frame
+from padlab.nn import _COL_BLOCK_BYTES, Pool, _im2col, _pad_frame
 from oracles import (accumulate_maxpool2d_backward, as_strided_im2col,
                      batchnorm2d_eval, channel_stats, fold_conv2d_dx,
                      gemm_conv2d_dw,
@@ -283,8 +285,23 @@ def test_bn_degenerate_batch():
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_bn_rejects_input_channels_unlike_gamma(mode):
     gamma, beta, state = _bn_parts(3)
-    with pytest.raises(ShapeError, match="input has 2 channels, gamma has 3"):
+    with pytest.raises(ShapeError, match=r"gamma \(3,\) and beta \(3,\) must be \(2,\)"):
         batchnorm2d(_var(np.ones((2, 2, 3, 3), np.float32)), gamma, beta, state, mode)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("gamma_shape, beta_shape", [((3,), (1,)), ((3,), (4,)),
+                                                     ((3, 1), (3,))],
+                         ids=["beta-1", "beta-4", "gamma-3x1"])
+def test_bn_rejects_gamma_or_beta_not_of_the_channel_count(mode, gamma_shape, beta_shape):
+    # a (1,) beta used to broadcast in forward and fail in backward, a (4,)
+    # one to raise numpy's ValueError; a (3, 1) gamma has the right length
+    gamma = _var(np.ones(gamma_shape, np.float32), requires_grad=True)
+    beta = _var(np.zeros(beta_shape, np.float32), requires_grad=True)
+    with pytest.raises(ShapeError, match=re.escape(
+            f"gamma {gamma_shape} and beta {beta_shape} must be (3,)")):
+        batchnorm2d(_var(np.ones((2, 3, 4, 4), np.float32), requires_grad=True),
+                    gamma, beta, BatchNormState(3), mode, Tape())
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +672,10 @@ def test_conv_same_bytes_in_either_layout(dtype, k, stride, bias):
             _same_bytes(got, want)
 
 
-@pytest.mark.parametrize("dtype, size", [(np.float32, 32), (np.float64, 16)])
+# f64 stays at 16: at sizes such as 7, 13 and 31 a forward-only block's f64
+# bytes differ from the full matrix's, with whole-row blocks and without
+@pytest.mark.parametrize("dtype, size", [(np.float32, 32), (np.float64, 16), (np.float32, 7),
+                                         (np.float32, 13), (np.float32, 31), (np.float32, 33)])
 @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("layout", ["nchw", "channel-major"])
@@ -679,6 +699,38 @@ def test_conv_forward_only_blocks_give_the_full_matrix_bytes(dtype, size, k, str
     for got in (no_tape, frozen_w):
         _same_bytes(got, full)
         assert got.strides == full.strides
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channel-major"])
+def test_conv_whole_row_blocks_give_the_full_matrix_bytes_on_a_ragged_map(layout):
+    # an 11x23 map padded to 13x25: a whole-row block spans 273 cells per image,
+    # blocks of 11 images fill 3003 columns and the last block of one image 273,
+    # neither a multiple of 64
+    n, c, cout, h, w = 23, 5, 6, 11, 23
+    assert _COL_BLOCK_BYTES // (c * 9 * h * w * 4) == 11
+    assert (11 * 273) % 64 and 273 % 64
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    x = _channel_major(x) if layout == "channel-major" else x
+    wt = rng.standard_normal((cout, c, 3, 3)).astype(np.float32)
+    b = _var(rng.standard_normal(cout).astype(np.float32))
+    full = conv2d(_var(x), _var(wt, requires_grad=True), b, ConvSpec(1, 1), Tape()).data
+    _same_bytes(conv2d(_var(x), _var(wt), b, ConvSpec(1, 1)).data, full)
+
+
+def test_conv_forward_only_blocks_are_free_after_a_frozen_weight_forward():
+    # backward_conv never reads a forward-only conv's blocks, so with a tape
+    # and a frozen weight only the padded input and the output stay held
+    rng = np.random.default_rng(4)
+    x = _var(rng.standard_normal((16, 4, 32, 32)).astype(np.float32), requires_grad=True)
+    wt = _var(rng.standard_normal((8, 4, 3, 3)).astype(np.float32))
+    tape = Tape()
+    with Pool() as pool:
+        out = conv2d(x, wt, None, ConvSpec(1, 1), tape)
+        refs = [sys.getrefcount(block) for block in pool.blocks]
+        assert len(refs) >= 5  # the zero block, padded input, output, columns, product
+        assert sum(r != refs[0] for r in refs) == 2
+    assert len(tape.entries) == 2 and out.data.shape == (16, 8, 32, 32)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
