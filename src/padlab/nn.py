@@ -207,11 +207,10 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 # images at a time, about this many bytes per block, so the GEMM reads each block
 # from L2 right after the copy that wrote it (first tinyvgg-pc conv at batch 128,
 # 2-core Xeon, one OpenBLAS thread: 11 ms as one 19 MB matrix, 6 ms in 512 KiB
-# blocks, 7 in 256 KiB, 12-14 in 1-2 MiB). At stride 1 on a C-contiguous buffer a
-# block takes whole rows: a tap copies one run of (Ho-1)*W + Wo cells per (c, n),
-# whose cell y*W + x is output (y, x) for x < Wo, and zero columns pad the block to
-# a multiple of 64, where OpenBLAS gave each column the bytes it has in the single
-# full-batch GEMM (unpadded, a tinyresnet batch of 32 changed its logits).
+# blocks, 7 in 256 KiB, 12-14 in 1-2 MiB). A stride-1 block over a C-contiguous
+# buffer takes whole rows: a tap copies one run of (Ho-1)*W + Wo cells per (c, n),
+# cell y*W + x being output (y, x) for x < Wo; zero columns pad the block to a
+# multiple of 64, where OpenBLAS gave each column its bytes in the full-batch GEMM.
 _COL_BLOCK_BYTES = 512 * 1024
 
 
@@ -305,15 +304,16 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
     step = n  # the weight gradient reads the columns as one matrix
     if tape is None or not weight.requires_grad:
         step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
-    shape, dt = (cout, n * m), np.result_type(wmat, xd)
+    shape = (cout, n * m)
     if step >= n:
         # one GEMM call: running the loop below for a single block added
         # about 3% to the gradcheck suite, whose thousands of small convs
         # each fit one block
         cols = _im2col(xd, kh, kw, s, ho, wo)
-        out_mat = np.matmul(wmat, cols, out=_pool and _pool.empty(shape, dt))
+        out_mat = np.matmul(wmat, cols, out=_pool and _pool.empty(
+            shape, np.result_type(wmat, xd)))
     else:
-        out_mat, rows = _empty(shape, dt), None
+        out_mat, rows = _empty(shape, dt := np.result_type(wmat, xd)), None
         buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
         if s == 1 and buf.flags.c_contiguous:  # whole rows, see _COL_BLOCK_BYTES
             (sn, sc, sh, sw), span, b = xd.strides, (ho - 1) * w + wo, dt.itemsize

@@ -302,9 +302,10 @@ def test_load_state_rejects_missing_running_stat():
 
 @pytest.mark.parametrize("family", ["tinyvgg", "tinyresnet"])
 def test_eval_logits_of_forward_only_blocks_match_a_taped_forward(family):
-    # evaluate's batches of 128 and a last batch of 104, and a batch of 32:
     # forward-only convs run in whole-row blocks, a taped forward keeps one
-    # full column matrix
+    # full column matrix; evaluate's batches of 128 and a last batch of 104,
+    # and a batch of 32, whose last block of 4 images in tinyresnet's 8x8 convs
+    # changed its bytes when the block's columns were not padded to 64
     model = build_model(ModelSpec(family, pad_channel=True, num_classes=2,
                                   input_size=32), Rng(0))
     x = np.random.default_rng(1).random((232, 3, 32, 32), dtype=np.float32)
