@@ -383,7 +383,7 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
     xd = _nchw(x, "batchnorm2d")
     n, c, h, w = xd.shape
     gd = gamma.data
-    if (gd.shape, beta.data.shape) != ((c,), (c,)):
+    if gd.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"gamma {gd.shape} and beta {beta.data.shape} must be ({c},)")
 
     if mode == "train":
