@@ -69,9 +69,7 @@ class TapeEntry:
     __slots__ = ("inputs", "output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+        self.inputs, self.output, self.backward_fn = inputs, output, backward_fn
 
 
 class Tape:
@@ -118,10 +116,7 @@ def backward(loss: Variable, tape: Tape) -> dict:
             if g.shape != var.data.shape:
                 raise GraphError(
                     f"gradient shape {g.shape} != value shape {var.data.shape}")
-            if var in pending:
-                pending[var] = pending[var] + g
-            else:
-                pending[var] = g
+            pending[var] = pending[var] + g if var in pending else g
     grad_map = {}
     for var, g in pending.items():
         if var.requires_grad:
@@ -143,8 +138,7 @@ def grad_check(f, x: np.ndarray, eps: float = 1e-5) -> float:
         raise NumericError("grad_check requires an f64 array input")
     var = Variable(x.copy(), requires_grad=True)
     tape = Tape()
-    out = f(var, tape)
-    backward(out, tape)
+    backward(f(var, tape), tape)
     analytic = var.grad.copy()
 
     probe = Variable(var.data)  # every difference forward reads the perturbed buffer

@@ -8,6 +8,8 @@ eps = 1e-5. Used by the `gradcheck` CLI command and the acceptance suite.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .autodiff import Variable, grad_check
@@ -103,10 +105,12 @@ def suite_cases():
         return lambda v, t: linear(flatten(v, t), w, b, t)
 
     cases.append(("linear", linear_make, (2, 2, 4, 8)))
-    cases.append(("dropout[p=0.5 fixed mask]",
-                  lambda trial: (lambda v, t: dropout(v, 0.5, "train",
-                                                      Rng(400 + trial), tape=t)),
-                  (2, 4, 8, 8)))
+    def dropout_make(trial):
+        u = Rng(400 + trial).uniform((2, 4, 8, 8), dtype=np.float64)
+        rng = SimpleNamespace(uniform=lambda shape, dtype: u)  # every forward's mask draw
+        return lambda v, t: dropout(v, 0.5, "train", rng, tape=t)
+
+    cases.append(("dropout[p=0.5 fixed mask]", dropout_make, (2, 4, 8, 8)))
     cases.append(("softmax",
                   lambda trial: (lambda v, t: softmax(flatten(v, t), t)),
                   (2, 1, 2, 5)))

@@ -93,9 +93,7 @@ class Forward:
                  rng: Rng | None = None):
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
-        self.mode = mode
-        self.tape = tape
-        self.rng = rng
+        self.mode, self.tape, self.rng = mode, tape, rng
 
     def layer(self, module: "Layer", x: Variable) -> Variable:
         return module.op(x, self)
@@ -135,8 +133,7 @@ class Module:
         self._children: dict[str, Module] = dict(children)
 
     def add_param(self, name: str, data: np.ndarray) -> Variable:
-        var = Variable(data, requires_grad=True, name=name)
-        self._params[name] = var
+        self._params[name] = var = Variable(data, requires_grad=True, name=name)
         return var
 
     def add_child(self, name: str, module: "Module") -> "Module":

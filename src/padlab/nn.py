@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Variable, np_dtype
-from .errors import (DegenerateBatchError, GeometryError, InvalidLabelError,
-                     InvalidPadError, ShapeError)
+from .errors import (ConfigError, DegenerateBatchError, GeometryError,
+                     InvalidLabelError, InvalidPadError, ShapeError)
 from .rng import Rng
 
 
@@ -363,12 +363,24 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
 BN_EPS, BN_MOMENTUM = 1e-5, 0.1  # every BatchNorm's variance floor and running-stat weight
 
 
+def _stats_row(i: int) -> property:
+    """Row i of a BatchNormState's stats; assigning one copies, never writes into them."""
+    def set_row(state, value):
+        stats = state.stats.copy()
+        stats[i] = value
+        state.stats = stats
+
+    return property(lambda state: state.stats[i], set_row)
+
+
 class BatchNormState:
-    """Running statistics owned by a single training run."""
+    """Running statistics owned by a single training run: one (2, C) array,
+    `stats`, whose rows are the running mean and the running variance."""
+    running_mean, running_var = _stats_row(0), _stats_row(1)
 
     def __init__(self, num_features: int, dtype=np.float32):
-        self.running_mean = np.zeros(num_features, dtype=dtype)
-        self.running_var = np.ones(num_features, dtype=dtype)
+        self.stats = np.zeros((2, num_features), dtype=dtype)  # np.ones fills: slower
+        self.stats[1] = 1
 
 
 def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
@@ -390,18 +402,18 @@ def batchnorm2d(x: Variable, gamma: Variable, beta: Variable,
         m = n * h * w
         if m < 2:
             raise DegenerateBatchError("train-mode batchnorm needs N*H*W >= 2")
-        mu = xd.sum(axis=(0, 2, 3)) / m  # a Python-int count keeps f32 in f32
+        batch = np.empty((2, c), xd.dtype)  # mu and the unbiased variance
+        mu = np.divide(xd.sum(axis=(0, 2, 3)), m, out=batch[0])  # int m keeps f32 in f32
         xhat = np.subtract(xd, mu[None, :, None, None], out=_pool and _like(xd))
         out = np.multiply(xhat, xhat, out=_pool and _like(xhat))  # (x - mu)^2, then out
         var = out.sum(axis=(0, 2, 3)) / m
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        mom = BN_MOMENTUM
-        state.running_mean = ((1 - mom) * state.running_mean + mom * mu).astype(
-            state.running_mean.dtype, copy=False)  # a fresh array already
-        unbiased = var * (m / (m - 1))
-        state.running_var = ((1 - mom) * state.running_var + mom * unbiased).astype(
-            state.running_var.dtype, copy=False)
+        np.multiply(var, m / (m - 1), out=batch[1])
+        mom, stats = BN_MOMENTUM, state.stats  # astype(copy=False): the sum is fresh
+        state.stats = ((1 - mom) * stats + mom * batch).astype(stats.dtype, copy=False)
     else:
+        if mode != "eval":
+            raise ConfigError(f"mode must be train or eval, got {mode!r}")
         inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = np.subtract(xd, state.running_mean[None, :, None, None],
                            out=_pool and _like(xd))
@@ -578,21 +590,25 @@ def adaptive_avgpool2d(x: Variable, out_h: int, out_w: int,
                        tape: Tape | None = None) -> Variable:
     """Average pooling to a fixed output size using proportional bins."""
     xd = _nchw(x, "adaptive_avgpool2d")
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(f"adaptive pool output must be >= 1x1, got {out_h}x{out_w}")
     n, c, h, w = xd.shape
     hb = [(i * h // out_h, -(-(i + 1) * h // out_h)) for i in range(out_h)]
     wb = [(j * w // out_w, -(-(j + 1) * w // out_w)) for j in range(out_w)]
+    # bins sum into their cells, then one division by areas in x's dtype (not int64: f32)
+    area = np.array([[(h1 - h0) * (w1 - w0) for w0, w1 in wb] for h0, h1 in hb], xd.dtype)
     out_data = np.empty((n, c, out_h, out_w), dtype=xd.dtype)
     for i, (h0, h1) in enumerate(hb):
         for j, (w0, w1) in enumerate(wb):
-            out_data[:, :, i, j] = (xd[:, :, h0:h1, w0:w1].sum(axis=(2, 3))
-                                    / ((h1 - h0) * (w1 - w0)))
+            xd[:, :, h0:h1, w0:w1].sum(axis=(2, 3), out=out_data[:, :, i, j])
+    out_data /= area
 
     def backward_adaptive(g):
         dx = np.zeros((n, c, h, w), dtype=g.dtype)
+        g = g / area.astype(g.dtype, copy=False)
         for i, (h0, h1) in enumerate(hb):
             for j, (w0, w1) in enumerate(wb):
-                area = (h1 - h0) * (w1 - w0)
-                dx[:, :, h0:h1, w0:w1] += g[:, :, i:i + 1, j:j + 1] / area
+                dx[:, :, h0:h1, w0:w1] += g[:, :, i:i + 1, j:j + 1]
         return (dx,)
 
     return _out(out_data, (x,), tape, backward_adaptive)
@@ -627,7 +643,9 @@ def dropout(x: Variable, p: float, mode: str, rng: Rng | None = None,
     """Inverted dropout: train mode zeroes with prob p and rescales by 1/(1-p)."""
     if not (0 <= p < 1):
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
-    if mode != "train" or p == 0:
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode must be train or eval, got {mode!r}")
+    if mode == "eval" or p == 0:
         return x
     if rng is None:
         raise ShapeError("train-mode dropout needs an Rng")
@@ -656,6 +674,8 @@ def softmax_cross_entropy(logits: Variable, labels: np.ndarray,
     n, k = ld.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels must be ({n},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise InvalidLabelError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidLabelError(
             f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")

@@ -10,7 +10,8 @@ The references at the end are the forms the ops replaced with cheaper ones:
 numpy library forms (np.pad, sliding_window_view, np.mean), conv2d's
 `as_strided` im2col window, `gmat @ cols.T` weight gradient and strided
 col2im fold, batchnorm2d with fresh temporaries, the accumulate-only
-maxpool2d backward and the 2x2 pool's chain over its four taps. The
+maxpool2d backward, the 2x2 pool's chain over its four taps and the
+adaptive pool's division per bin. The
 replacements must give the same bytes.
 """
 
@@ -217,6 +218,31 @@ def mean_adaptive_avgpool2d(x, out_h, out_w):
             w0, w1 = j * w // out_w, -(-(j + 1) * w // out_w)
             out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
     return out
+
+
+def _adaptive_bins(n, out):
+    return [(i * n // out, -(-(i + 1) * n // out)) for i in range(out)]
+
+
+def per_bin_adaptive_avgpool2d(x, out_h, out_w):
+    """adaptive_avgpool2d's forward with a sum and a division by the Python-int
+    area per bin, stored into its output cell."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    for i, (h0, h1) in enumerate(_adaptive_bins(h, out_h)):
+        for j, (w0, w1) in enumerate(_adaptive_bins(w, out_w)):
+            out[:, :, i, j] = x[:, :, h0:h1, w0:w1].sum(axis=(2, 3)) / ((h1 - h0) * (w1 - w0))
+    return out
+
+
+def per_bin_adaptive_avgpool2d_backward(g, xshape):
+    """Its backward: each bin adds g / its Python-int area over its cells."""
+    n, c, h, w = xshape
+    dx = np.zeros(xshape, dtype=g.dtype)
+    for i, (h0, h1) in enumerate(_adaptive_bins(h, g.shape[2])):
+        for j, (w0, w1) in enumerate(_adaptive_bins(w, g.shape[3])):
+            dx[:, :, h0:h1, w0:w1] += g[:, :, i:i + 1, j:j + 1] / ((h1 - h0) * (w1 - w0))
+    return dx
 
 
 def gemm_conv2d_dw(cols, g):

@@ -16,7 +16,8 @@ from padlab.nn import (BatchNormState, ConvSpec, PaddingMode,
                        mul)
 from padlab.rng import Rng
 
-from oracles import as_strided_im2col
+from oracles import (as_strided_im2col, per_bin_adaptive_avgpool2d,
+                     per_bin_adaptive_avgpool2d_backward)
 
 TOL = 1e-4
 EPS = 1e-5
@@ -260,3 +261,31 @@ def test_suite_results_unchanged_with_the_as_strided_im2col(monkeypatch):
 
     monkeypatch.setattr(nn, "_im2col", as_strided_blocks)
     assert repr(gradcheck_suite.run_suite(trials=1)) == want
+
+
+def test_suite_results_unchanged_with_the_per_bin_pool_and_a_dropout_rng_per_forward(
+        monkeypatch):
+    # the same repr with the adaptive pool dividing bin by bin and the
+    # dropout case building Rng(400 + trial) on every forward, as before
+    want = repr(gradcheck_suite.run_suite(trials=1))
+    calls = {"pool": 0, "dropout": 0}
+
+    def per_bin_pool(x, out_h, out_w, tape=None):
+        calls["pool"] += 1
+        shape = x.data.shape
+        return nn._out(per_bin_adaptive_avgpool2d(x.data, out_h, out_w), (x,), tape,
+                       lambda g: (per_bin_adaptive_avgpool2d_backward(g, shape),))
+
+    def dropout_per_forward(trial):
+        def f(v, t):
+            calls["dropout"] += 1
+            return dropout(v, 0.5, "train", Rng(400 + trial), tape=t)
+        return f
+
+    cases = gradcheck_suite.suite_cases
+    monkeypatch.setattr(gradcheck_suite, "adaptive_avgpool2d", per_bin_pool)
+    monkeypatch.setattr(gradcheck_suite, "suite_cases", lambda: [
+        (name, dropout_per_forward if name.startswith("dropout") else make, shape)
+        for name, make, shape in cases()])
+    assert repr(gradcheck_suite.run_suite(trials=1)) == want
+    assert calls["pool"] > 1 and calls["dropout"] > 1

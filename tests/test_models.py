@@ -8,8 +8,8 @@ import pytest
 from padlab.autodiff import Tape, Variable, backward
 from padlab.checkpoint import model_state
 from padlab.errors import ConfigError, IncompatiblePaddingError, ShapeError
-from padlab.models import (FAMILIES, Conv2d, ModelSpec, build_model,
-                           normalize_family)
+from padlab.models import (FAMILIES, BatchNorm2d, Conv2d, ModelSpec,
+                           build_model, normalize_family)
 from padlab.nn import PaddingMode, Pool, softmax_cross_entropy
 from padlab.rng import Rng
 from padlab.training import sgd_step
@@ -289,6 +289,31 @@ def test_load_state_rejects_a_tensor_of_another_dtype(name):
     with pytest.raises(ConfigError, match=f"{name}: checkpoint dtype float64 "
                        "!= model dtype float32"):
         model.load_state(state)
+
+
+def test_running_stats_survive_a_load_state_round_trip():
+    # a BatchNorm's two running stats are the rows of one array; load_state
+    # fills them by name, and the loaded model owns a copy of what it loads
+    spec = ModelSpec("tinyresnet", num_classes=2, input_size=8)
+    trained = build_model(spec, Rng(0))
+    for seed in (1, 2):
+        trained.forward(Rng(seed).normal((4, 3, 8, 8)), "train", Tape())
+    saved = {k: v.copy() for k, v in model_state(trained).items()}
+    assert saved["stem.bn.running_var"].tolist() != [1.0] * 8
+    loaded = build_model(spec, Rng(5))
+    loaded.load_state(saved)
+    got = model_state(loaded)
+    assert list(got) == list(saved)
+    for name, arr in saved.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+        assert not np.shares_memory(got[name], arr), name
+    for name, module in loaded.named_modules():
+        if isinstance(module, BatchNorm2d):
+            assert module.state.stats.tobytes() == (saved[f"{name}.running_mean"].tobytes()
+                                                    + saved[f"{name}.running_var"].tobytes())
+    batch = Rng(3).normal((2, 3, 8, 8))
+    assert (trained.forward(batch, "eval").data.tobytes()
+            == loaded.forward(batch, "eval").data.tobytes())
 
 
 def test_load_state_rejects_missing_running_stat():

@@ -25,6 +25,8 @@ from oracles import (accumulate_maxpool2d_backward, as_strided_im2col,
                      mean_batchnorm2d_train, mean_global_avgpool, naive_conv2d,
                      naive_conv2d_backward, naive_maxpool2d,
                      naive_maxpool2d_backward, naive_pad2d, np_pad_constant,
+                     per_bin_adaptive_avgpool2d,
+                     per_bin_adaptive_avgpool2d_backward,
                      sliding_window_im2col, tap_chain_maxpool2x2)
 
 MODES = {PaddingMode.ZERO: "zero", PaddingMode.REFLECT: "reflect",
@@ -304,6 +306,50 @@ def test_bn_rejects_gamma_or_beta_not_of_the_channel_count(mode, gamma_shape, be
                     gamma, beta, BatchNormState(3), mode, Tape())
 
 
+def test_bn_rejects_an_unknown_mode():
+    # "bogus" used to run eval mode
+    gamma, beta, state = _bn_parts(2)
+    with pytest.raises(ConfigError, match="mode must be train or eval, got 'bogus'"):
+        batchnorm2d(_var(np.ones((2, 2, 3, 3), np.float32)), gamma, beta, state, "bogus")
+
+
+def test_bn_state_assignment_leaves_an_earlier_view_unchanged():
+    state = BatchNormState(3)
+    mean, var = state.running_mean, state.running_var
+    state.running_mean = np.full(3, 2.0, np.float32)
+    state.running_var = np.full(3, 5.0, np.float32)
+    assert mean.tolist() == [0.0] * 3 and var.tolist() == [1.0] * 3
+    assert state.running_mean.tolist() == [2.0] * 3
+    assert state.running_var.tolist() == [5.0] * 3
+    held = state.running_var  # a train step replaces the array as well
+    gamma, beta, _ = _bn_parts(3)
+    batchnorm2d(_var(Rng(1).normal((2, 3, 4, 4))), gamma, beta, state, "train")
+    assert held.tolist() == [5.0] * 3 and state.running_var.tolist() != [5.0] * 3
+
+
+@pytest.mark.parametrize("state_dtype, x_dtype", [(np.float32, np.float32),
+                                                  (np.float64, np.float64),
+                                                  (np.float32, np.float64)])
+def test_bn_running_stats_keep_the_bytes_of_the_two_array_update(state_dtype, x_dtype):
+    # the (2, C) update has the bytes of one update per running stat, also
+    # when an f64 batch updates an f32 state, over successive steps
+    c, mom = 3, BN_MOMENTUM
+    state = BatchNormState(c, state_dtype)
+    mean, var = np.zeros(c, state_dtype), np.ones(c, state_dtype)
+    gamma, beta = _var(np.ones(c, x_dtype)), _var(np.zeros(c, x_dtype))
+    for step in range(3):
+        x = Rng(step).normal((2, c, 3, 5), std=3.0, dtype=x_dtype) + step
+        batchnorm2d(_var(x), gamma, beta, state, "train")
+        m = x.size // c
+        mu = x.sum(axis=(0, 2, 3)) / m
+        d = x - mu[None, :, None, None]
+        unbiased = (d * d).sum(axis=(0, 2, 3)) / m * (m / (m - 1))
+        mean = ((1 - mom) * mean + mom * mu).astype(state_dtype, copy=False)
+        var = ((1 - mom) * var + mom * unbiased).astype(state_dtype, copy=False)
+        _same_bytes(state.running_mean, mean)
+        _same_bytes(state.running_var, var)
+
+
 # ---------------------------------------------------------------------------
 # kaiming init
 
@@ -409,6 +455,13 @@ def test_adaptive_avgpool_identity_and_downsample():
     np.testing.assert_allclose(one[..., 0, 0], x.mean(axis=(2, 3)), rtol=1e-6)
 
 
+@pytest.mark.parametrize("out_h, out_w", [(-1, 3), (3, 0)])
+def test_adaptive_avgpool_rejects_an_output_side_below_one(out_h, out_w):
+    # -1 used to reach numpy's "negative dimensions are not allowed"
+    with pytest.raises(ShapeError, match=f"got {out_h}x{out_w}"):
+        adaptive_avgpool2d(_var(np.ones((1, 2, 4, 4))), out_h, out_w)
+
+
 def test_linear_matches_matmul():
     rng = Rng(12)
     x = rng.uniform((4, 6))
@@ -427,6 +480,12 @@ def test_dropout_eval_is_identity_train_scales():
     assert 0.3 < (out != 0).mean() < 0.7
 
 
+def test_dropout_rejects_an_unknown_mode():
+    # "bogus" used to return x unchanged
+    with pytest.raises(ConfigError, match="mode must be train or eval, got 'bogus'"):
+        dropout(_var(np.ones((4, 10), np.float32)), 0.5, "bogus", None)
+
+
 def test_softmax_rows_sum_to_one():
     logits = Rng(5).normal((8, 10), std=4.0)
     p = softmax(_var(logits)).data
@@ -443,6 +502,13 @@ def test_cross_entropy_rejects_bad_label():
     logits = _var(np.zeros((2, 4), np.float32))
     with pytest.raises(InvalidLabelError):
         softmax_cross_entropy(logits, np.array([0, 4]))
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.0], [True, False], ["0", "1"]])
+def test_cross_entropy_rejects_labels_without_an_integer_dtype(labels):
+    # float labels used to reach numpy's IndexError from fancy indexing
+    with pytest.raises(InvalidLabelError, match="integer dtype"):
+        softmax_cross_entropy(_var(np.zeros((2, 4))), np.array(labels))
 
 
 def test_subsumption_zero_weight_bias_one_conv():
@@ -635,6 +701,25 @@ def test_avgpools_match_np_mean(dtype):
         out_h, out_w = (int(v) for v in rng.integers(1, 5, 2))
         _same_bytes(adaptive_avgpool2d(_var(x), out_h, out_w).data,
                     mean_adaptive_avgpool2d(x, out_h, out_w))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adaptive_avgpool_matches_the_division_per_bin(dtype):
+    # one division by areas in x's dtype keeps the bytes of a Python-int
+    # division per bin, in either layout, with -0.0 in x and g and with
+    # overlapping bins where an output side does not divide the input's
+    for rng, shape, scale in _random_shapes(11, 120):
+        x = (rng.standard_normal(shape) * scale).astype(dtype)
+        x.flat[::7] = -0.0
+        out_h, out_w = (int(rng.integers(1, d + 1)) for d in shape[2:])
+        g = _signed_zero_grad(rng, shape[:2] + (out_h, out_w), dtype)
+        want = (per_bin_adaptive_avgpool2d(x, out_h, out_w),
+                per_bin_adaptive_avgpool2d_backward(g, shape))
+        for xs, gs in ((x, g), (_channel_major(x), _channel_major(g))):
+            out, (dx,) = _op_backward(
+                lambda v, tape: adaptive_avgpool2d(v, out_h, out_w, tape), [xs], gs)
+            _same_bytes(out, want[0])
+            _same_bytes(dx, want[1])
 
 
 # ---------------------------------------------------------------------------
