@@ -80,6 +80,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             if data.size != size:
                 raise CorruptFileError(f"{name}: truncated data")
             off += data.nbytes
+            if name in tensors:
+                raise CorruptFileError(f"{name}: tensor named twice")
             tensors[name] = data.reshape(dims).astype(dt.newbyteorder("="), copy=True)
         if off != len(blob):
             raise CorruptFileError(f"{len(blob) - off} trailing bytes")
@@ -87,6 +89,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         raise CorruptFileError(f"truncated checkpoint: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptFileError(f"tensor name is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # numpy: data cut inside an element, a rank it cannot hold
+        raise CorruptFileError(f"{name}: {exc}") from exc
     return tensors
 
 

@@ -28,6 +28,8 @@ from .rng import Rng
 from .training import (Checkpoint, RunLog, TrainConfig, evaluate, save_run,
                        split_train_val, train_run)
 
+_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")  # numpy refusing a size
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -172,8 +174,10 @@ def cmd_cost(args) -> int:
 def _parse_seeds(expr: str):
     try:
         if ".." in expr:
-            lo, hi = expr.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = (Rng(int(end)).seed for end in expr.split("..", 1))
+            if hi - lo >= sys.maxsize:  # list(range(...)) would raise OverflowError
+                raise ConfigError(f"--seeds {expr!r} names {hi - lo + 1} seeds, too many to list")
+            return list(range(lo, hi + 1))
         return [int(s) for s in expr.split(",") if s != ""]
     except ValueError:
         raise ConfigError(f"--seeds {expr!r} is not a comma list or lo..hi range of ints")
@@ -382,15 +386,14 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
+    except (DataError, OSError, MemoryError, ValueError) as exc:  # the last two: array sizes
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except PadlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, MemoryError) as exc:  # MemoryError: an array too large to allocate
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

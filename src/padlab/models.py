@@ -106,18 +106,16 @@ class _CostWalk:
     """Carries one image's (C, H, W) shape through `Module.forward` and
     records a (name, params, macs) row for each layer that has a cost."""
 
-    def __init__(self, model: "Module"):
-        self.names = {module: name for name, module in model.named_modules()}
+    def __init__(self):
         self.rows = []
 
     def layer(self, module: "Layer", chw):
-        name = self.names[module]
         try:
             out, params, macs = module.cost(chw)
         except GeometryError as exc:
-            raise GeometryError(f"{name}: {exc}") from exc
+            raise GeometryError(f"{module.name}: {exc}") from exc
         if macs is not None:
-            self.rows.append((name, params, macs))
+            self.rows.append((module.name, params, macs))
         return out
 
     def add(self, a, b):
@@ -127,6 +125,7 @@ class _CostWalk:
 class Module:
     """Base for layers and blocks: named parameters and children, given as
     (name, module) pairs. A container's forward runs its children in order."""
+    name = ""  # the qualified name, which build_model sets
 
     def __init__(self, children=()):
         self._params: dict[str, Variable] = {}
@@ -378,7 +377,7 @@ class Model(Module):
 
     def cost_rows(self):
         """(name, params, macs) per layer in forward order at the spec's input size."""
-        walk = _CostWalk(self)
+        walk = _CostWalk()
         size = self.spec.input_size
         Module.forward(self, (_first_conv_channels(self.spec), size, size), walk)
         return walk.rows
@@ -456,6 +455,9 @@ def build_model(spec: ModelSpec, rng: Rng, init: str = "kaiming") -> Model:
         raise IncompatiblePaddingError(
             "the pad-indicator channel only works with zero padding: "
             f"{spec.padding_mode.value} padding keeps the marker at 1 everywhere")
-    if spec.family in VGG_CFGS:
-        return _build_vgg(spec, rng, init)
-    return _build_resnet(spec, rng, init)
+    model = (_build_vgg if spec.family in VGG_CFGS else _build_resnet)(spec, rng, init)
+    for prefix, module in model.named_modules():  # for cost rows and error messages
+        module.name = prefix
+        for name, var in module._params.items():  # the root holds none: prefix != ""
+            var.name = f"{prefix}.{name}"
+    return model

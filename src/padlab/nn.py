@@ -203,35 +203,32 @@ def attach_pad_channel(x: Variable, tape: Tape | None = None) -> Variable:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Forward-only convolutions build and multiply their im2col columns a few whole
-# images at a time, about this many bytes per block, so the GEMM reads each block
-# from L2 right after the copy that wrote it (first tinyvgg-pc conv at batch 128,
-# 2-core Xeon, one OpenBLAS thread: 11 ms as one 19 MB matrix, 6 ms in 512 KiB
-# blocks, 7 in 256 KiB, 12-14 in 1-2 MiB). A stride-1 block over a C-contiguous
-# buffer takes whole rows: a tap copies one run of (Ho-1)*W + Wo cells per (c, n),
-# cell y*W + x being output (y, x) for x < Wo; zero columns pad the block to a
-# multiple of 64, where OpenBLAS gave each column its bytes in the full-batch GEMM.
+# Forward-only stride-1 convs over a C-contiguous buffer (NCHW or channel-major)
+# multiply whole input rows a few images at a time, about this many bytes per block,
+# so the GEMM reads each block from L2 right after the copy that wrote it (first
+# tinyvgg-pc conv at batch 128, 2-core Xeon, one OpenBLAS thread: 11 ms as one 19 MB
+# matrix, 6 ms in 512 KiB blocks, 7 in 256 KiB, 12-14 in 1-2 MiB). A tap copies one
+# run of (Ho-1)*W + Wo cells per (c, n), cell y*W + x being output (y, x) for x < Wo;
+# zero columns pad a block to a multiple of 64, where OpenBLAS gave each column its
+# full-batch bytes. Every other conv (strided, or in another layout) runs one GEMM.
 _COL_BLOCK_BYTES = 512 * 1024
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int,
-            start: int = 0, count: int | None = None):
-    """Channel-major (C*kh*kw, count*ho*wo) columns of images start..start+count,
-    from a window on x's own buffer: x when NCHW, its (C, N, H, W) transpose
-    when channel-major. A block in any other layout is copied to C order first."""
-    count = len(xd) - start if count is None else count
+def _im2col(xd: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int):
+    """Channel-major (C*kh*kw, N*ho*wo) columns from a window on x's own buffer:
+    x when NCHW, its (C, N, H, W) transpose when channel-major. Any other
+    layout is copied to C order first, once for the whole batch."""
     buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
     if not buf.flags.c_contiguous:
-        xd = buf = np.ascontiguousarray(xd[start:start + count])
-        start = 0
-    c = xd.shape[1]
+        xd = buf = np.ascontiguousarray(xd)
+    n, c = xd.shape[:2]
     sn, sc, sh, sw = xd.strides
     # each copied row is a run of wo pixels
-    win = np.ndarray((c, kh, kw, count, ho, wo), xd.dtype, buf, start * sn,
+    win = np.ndarray((c, kh, kw, n, ho, wo), xd.dtype, buf, 0,
                      (sc, sh, sw, sn, s * sh, s * sw))
     if _pool is None:  # 0.35 us a call under the pooled copy; the gradcheck suite makes 8.5k
-        return np.ascontiguousarray(win).reshape(c * kh * kw, count * ho * wo)
-    cols = _pool.empty((c * kh * kw, count * ho * wo), xd.dtype)
+        return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
+    cols = _pool.empty((c * kh * kw, n * ho * wo), xd.dtype)
     cols.reshape(win.shape)[...] = win
     return cols
 
@@ -258,11 +255,9 @@ def _col2im_rows(wmat, gmat, xshape, kh, kw, ho, wo):
     """
     n, c, h, w = xshape
     cout, size, b = len(gmat), c * n * h * w, gmat.itemsize
-    gw = gmat.reshape(cout, n, ho * wo)
-    if w != wo:
-        gw = _empty((cout, n, ho * w), gmat.dtype)
-        gw.reshape(cout, n * ho, w)[:, :, wo:] = 0
-        gw.reshape(cout, n * ho, w)[:, :, :wo] = gmat.reshape(cout, n * ho, wo)
+    gw = _empty((cout, n, ho * w), gmat.dtype)
+    gw.reshape(cout, n * ho, w)[:, :, wo:] = 0
+    gw.reshape(cout, n * ho, w)[:, :, :wo] = gmat.reshape(cout, n * ho, wo)
     step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * ho * w * b))
     dbuf = _empty((wmat.shape[1], min(step, n) * ho * w), gmat.dtype)
     flat = _empty((size + kw - 1,), gmat.dtype)
@@ -301,10 +296,12 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
 
     wmat = wd.reshape(cout, -1)
     m = ho * wo
-    step = n  # the weight gradient reads the columns as one matrix
-    if tape is None or not weight.requires_grad:
+    step, shape = n, (cout, n * m)  # the weight gradient reads the columns as one matrix
+    if s == 1 and (tape is None or not weight.requires_grad):
         step = max(1, _COL_BLOCK_BYTES // (wmat.shape[1] * m * xd.itemsize))
-    shape = (cout, n * m)
+    if step < n:  # whole rows need x's own buffer C-contiguous, see _COL_BLOCK_BYTES
+        buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
+        step = step if buf.flags.c_contiguous else n
     if step >= n:
         # one GEMM call: running the loop below for a single block added
         # about 3% to the gradcheck suite, whose thousands of small convs
@@ -313,17 +310,12 @@ def conv2d(x: Variable, weight: Variable, bias: Variable | None,
         out_mat = np.matmul(wmat, cols, out=_pool and _pool.empty(
             shape, np.result_type(wmat, xd)))
     else:
-        out_mat, rows = _empty(shape, dt := np.result_type(wmat, xd)), None
-        buf = xd if xd.flags.c_contiguous else xd.transpose(1, 0, 2, 3)
-        if s == 1 and buf.flags.c_contiguous:  # whole rows, see _COL_BLOCK_BYTES
-            (sn, sc, sh, sw), span, b = xd.strides, (ho - 1) * w + wo, dt.itemsize
-            full = -(-step * span // 64) * 64
-            rows, prod = _empty((wmat.shape[1], full), xd.dtype), _empty((cout, full), dt)
+        out_mat = _empty(shape, dt := np.result_type(wmat, xd))
+        (sn, sc, sh, sw), span, b = xd.strides, (ho - 1) * w + wo, dt.itemsize
+        full = -(-step * span // 64) * 64
+        rows, prod = _empty((wmat.shape[1], full), xd.dtype), _empty((cout, full), dt)
         for i in range(0, n, step):
             nb, dst = min(step, n - i), out_mat[:, i * m:(i + step) * m]
-            if rows is None:
-                np.matmul(wmat, _im2col(xd, kh, kw, s, ho, wo, i, nb), out=dst)
-                continue
             width = -(-nb * span // 64) * 64
             rows[:, nb * span:width] = 0
             rows[:, :nb * span].reshape(c, kh, kw, nb, span)[...] = np.ndarray(

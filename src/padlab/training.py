@@ -148,10 +148,10 @@ def evaluate(model: Model, ds: Dataset, augment: AugmentConfig | None = None,
              batch_size: int = 128) -> float:
     """Top-1 percentage; argmax ties resolve to the lowest class index.
 
-    Batches of 128 bound the activations; forward-only convs copy whole input
-    rows (stride 1) or im2col columns into blocks of about 512 KiB (see
-    `nn._COL_BLOCK_BYTES`). The batches share one `nn.Pool`; for tinyvgg-pc at
-    32x32 the loop peaks at 13.9 MiB of allocations, one unpooled forward at 10 MiB.
+    Batches of 128 bound the activations; forward-only stride-1 convs copy whole
+    input rows into blocks of about 512 KiB (see `nn._COL_BLOCK_BYTES`), strided
+    ones run one GEMM. The batches share one `nn.Pool`; for tinyvgg-pc at 32x32
+    the loop peaks at 13.9 MiB of allocations, one unpooled forward at 10 MiB.
 
     Raises ConfigError on an empty dataset or a batch_size below 1, and
     NumericError on non-finite logits, which argmax would score as class 0.

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import struct
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -231,6 +232,26 @@ def test_train_dataset_too_large_to_allocate_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
     assert code == 2 and out == ""
     assert err.startswith("data error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_train_dataset_n_no_array_can_hold_exits_2(tmp_path, capsys):
+    # numpy refuses a dimension past int64 with a ValueError, not a MemoryError
+    cfg_path, _ = _config(tmp_path, dataset={"kind": "border", "n": 10**20, "size": 32,
+                                             "seed": 9, "val_fraction": 0.25})
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seed", "0")
+    assert (code, out, err) == (2, "", "data error: Maximum allowed dimension exceeded\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--n", str(10**20), "--seed", "1"),
+    ("cost", "--arch", "tinyvgg", "--input-size", str(10**23)),
+    ("cost", "--arch", "tinyvgg", "--num-classes", str(10**23)),
+], ids=["gen-data-n", "cost-input-size", "cost-num-classes"])
+def test_size_no_array_can_hold_exits_2(tmp_path, capsys, argv):
+    out_args = ("--out", str(tmp_path / "x.bin")) if argv[0] == "gen-data" else ()
+    code, out, err = run(capsys, *argv, *out_args)
+    assert (code, out, err) == (2, "", "data error: Maximum allowed dimension exceeded\n")
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_train_with_explicit_augment_config(tmp_path, capsys):
@@ -537,6 +558,19 @@ def test_train_seed_outside_64_bits_exits_1(tmp_path, capsys, train, argv):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("0..100000000000000000000", "seed 100000000000000000000 is outside [0, 2**64)"),
+    (f"0..{2**64 - 1}", f"--seeds '0..{2**64 - 1}' names {2**64} seeds, too many to list"),
+], ids=["past-64-bits", "past-a-list"])
+def test_train_seed_range_checked_before_it_is_listed_exits_1(tmp_path, capsys, seeds,
+                                                               message):
+    # list(range(...)) raised OverflowError on both before any check ran
+    cfg_path, _ = _config(tmp_path)
+    code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seeds", seeds)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_prints_one_progress_line_per_epoch(tmp_path, capsys):
     cfg_path, _ = _config(tmp_path)
     code, out, err = run(capsys, "train", "--config", str(cfg_path), "--seeds", "0,1")
@@ -617,7 +651,6 @@ def test_eval_checkpoint_with_bad_meta_exits_2(tmp_path, capsys, meta):
 
 def test_eval_checkpoint_whose_element_count_wraps_int64_exits_2(tmp_path, capsys):
     # four dims of 65536 hold 2**64 elements, a count an int64 product wraps to 0
-    import struct
     cfg_path, _ = _config(tmp_path)
     ckpt = tmp_path / "huge.ckpt"
     ckpt.write_bytes(b"PDCH" + struct.pack("<IIH", 1, 1, 1) + b"w"
@@ -625,6 +658,24 @@ def test_eval_checkpoint_whose_element_count_wraps_int64_exits_2(tmp_path, capsy
     code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
                          "--config", str(cfg_path))
     assert (code, out, err) == (2, "", "data error: w: truncated data\n")
+
+
+@pytest.mark.parametrize("records, message", [
+    (2 * [b"w" + struct.pack("<BIB", 1, 1, 0) + bytes(4)], "w: tensor named twice"),
+    ([b"w" + struct.pack("<B70IB", 70, *[1] * 70, 0) + bytes(4)], "w: "),
+    ([b"w" + struct.pack("<BIB", 1, 2, 0) + bytes(5)], "w: "),
+], ids=["named-twice", "rank-70", "cut-inside-an-element"])
+def test_eval_checkpoint_numpy_or_a_dict_cannot_hold_exits_2(tmp_path, capsys, records,
+                                                              message):
+    # the last copy of a repeated name won; numpy's ValueError ended the others
+    cfg_path, _ = _config(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"PDCH" + struct.pack("<II", 1, len(records))
+                     + b"".join(struct.pack("<H", 1) + r for r in records))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt),
+                         "--config", str(cfg_path))
+    assert (code, out) == (2, "") and err.startswith(f"data error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_eval_checkpoint_with_wrong_shaped_running_stat_exits_1(tmp_path, capsys):

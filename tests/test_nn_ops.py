@@ -581,9 +581,6 @@ def test_im2col_matches_as_strided_form(dtype, k, stride, layout):
     x = {"nchw": x, "channel-major": _channel_major(x), "strided": _strided_view(x)}[layout]
     ho, wo = (9 - k) // stride + 1, (8 - k) // stride + 1
     _same_bytes(_im2col(x, k, k, stride, ho, wo), as_strided_im2col(x, k, k, stride, ho, wo))
-    for start, count in ((0, 3), (3, 3), (6, 1), (2, 5)):  # (6, 1): a partial last block
-        _same_bytes(_im2col(x, k, k, stride, ho, wo, start, count),
-                    as_strided_im2col(x[start:start + count], k, k, stride, ho, wo))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -801,6 +798,28 @@ def test_conv_whole_row_blocks_give_the_full_matrix_bytes_on_a_ragged_map(layout
     b = _var(rng.standard_normal(cout).astype(np.float32))
     full = conv2d(_var(x), _var(wt, requires_grad=True), b, ConvSpec(1, 1), Tape()).data
     _same_bytes(conv2d(_var(x), _var(wt), b, ConvSpec(1, 1)).data, full)
+
+
+@pytest.mark.parametrize("stride, layout", [(2, "nchw"), (2, "channel-major"), (1, "strided")])
+def test_conv_forward_only_runs_one_gemm_unless_whole_rows_apply(monkeypatch, stride, layout):
+    # whole-row blocks need stride 1 over NCHW or channel-major memory; any
+    # other forward-only conv takes the whole batch's columns in one call
+    n, c, size, ho = 160, 4, 16, 13 // stride + 1
+    assert _COL_BLOCK_BYTES // (c * 9 * ho * ho * 4) < n  # more than one block's images
+    rng = np.random.default_rng(stride)
+    x = rng.standard_normal((n, c, size, size)).astype(np.float32)
+    x = {"nchw": x, "channel-major": _channel_major(x), "strided": _strided_view(x)}[layout]
+    wt = rng.standard_normal((8, c, 3, 3)).astype(np.float32)
+    im2col, calls = _im2col, []
+
+    def counted(xd, *args):
+        calls.append(len(xd))
+        return im2col(xd, *args)
+
+    monkeypatch.setattr("padlab.nn._im2col", counted)
+    full = conv2d(_var(x), _var(wt, requires_grad=True), None, ConvSpec(stride), Tape()).data
+    _same_bytes(conv2d(_var(x), _var(wt), None, ConvSpec(stride)).data, full)
+    assert calls == [n, n]
 
 
 def test_conv_forward_only_blocks_are_free_after_a_frozen_weight_forward():

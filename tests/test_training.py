@@ -120,6 +120,16 @@ def test_sgd_nonfinite_grad_raises():
         sgd_step([p], {}, lr=0.1, momentum=0.0, weight_decay=0.0)
 
 
+def test_sgd_nonfinite_grad_names_the_qualified_parameter():
+    # every BatchNorm has a beta: the message must say which layer's
+    model = build_model(ModelSpec("tinyvgg", num_classes=2, input_size=32), Rng(0))
+    beta = dict(model.named_parameters())["features.bn1.beta"]
+    beta.grad = np.full_like(beta.data, np.nan)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"^non-finite gradient in features\.bn1\.beta$"):
+        sgd_step(model.parameters(), {}, lr=0.1, momentum=0.0, weight_decay=0.0)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and curve queries
 
